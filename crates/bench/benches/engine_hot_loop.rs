@@ -1,8 +1,11 @@
 //! Hot-loop comparison of the dense and activity-driven event engine
-//! cores (`DAB_ENGINE=dense|event`) on two idle-heavy workloads: the
-//! single-cell atomic-reduction microbenchmark and a small BC graph trace.
+//! cores (`DAB_ENGINE=dense|event`) on three idle-heavy workloads: the
+//! single-cell atomic-reduction microbenchmark and a small BC graph trace
+//! under DAB, and a smaller single-cell reduction under GPUDet, whose
+//! serialized atomics and commit phases the event engine parks through
+//! the model's issue gate.
 //!
-//! Each engine × workload combination runs the DAB model end to end under
+//! Each engine × workload combination runs its model end to end under
 //! the vendored criterion harness, and the event engine additionally runs
 //! a `DAB_TRACE` sweep (off/summary/full) plus a `DAB_PROFILE=1` phase-
 //! profiler run to price the observability layer. Digests are
@@ -32,9 +35,11 @@ use dab_workloads::microbench::{atomic_sum_grid, OUTPUT_ADDR};
 use dab_workloads::scale::Scale;
 use gpu_sim::config::{EngineKind, GpuConfig};
 use gpu_sim::engine::{GpuSim, RunReport};
+use gpu_sim::exec::ExecutionModel;
 use gpu_sim::isa::{Instr, MemAccess, WarpProgram};
 use gpu_sim::kernel::{CtaSpec, KernelGrid};
 use gpu_sim::ndet::NdetSource;
+use gpudet::{GpuDetConfig, GpuDetModel};
 
 /// One engine × workload measurement: the last run's report and the best
 /// (minimum) single-run wall-clock across the timed iterations.
@@ -63,34 +68,63 @@ fn config(engine: EngineKind) -> GpuConfig {
     cfg
 }
 
-fn run(engine: EngineKind, kernels: &[KernelGrid]) -> RunReport {
-    run_traced(engine, kernels, obs::TraceMode::Off)
+/// The execution model a workload runs under, at its default parameters.
+#[derive(Debug, Clone, Copy)]
+enum Model {
+    Dab,
+    GpuDet,
 }
 
-fn run_traced(engine: EngineKind, kernels: &[KernelGrid], trace: obs::TraceMode) -> RunReport {
+impl Model {
+    fn build(self, cfg: &GpuConfig) -> Box<dyn ExecutionModel> {
+        match self {
+            Model::Dab => Box::new(DabModel::new(cfg, DabConfig::paper_default())),
+            Model::GpuDet => Box::new(GpuDetModel::new(cfg, GpuDetConfig::default())),
+        }
+    }
+}
+
+fn run(engine: EngineKind, model: Model, kernels: &[KernelGrid]) -> RunReport {
+    run_traced(engine, model, kernels, obs::TraceMode::Off)
+}
+
+fn run_traced(
+    engine: EngineKind,
+    model: Model,
+    kernels: &[KernelGrid],
+    trace: obs::TraceMode,
+) -> RunReport {
     let mut cfg = config(engine);
     cfg.trace = trace;
-    let model = DabModel::new(&cfg, DabConfig::paper_default());
-    let sim = GpuSim::new(cfg, Box::new(model), NdetSource::seeded(1));
-    sim.run(kernels)
+    let model = model.build(&cfg);
+    GpuSim::new(cfg, model, NdetSource::seeded(1)).run(kernels)
 }
 
-fn run_profiled(engine: EngineKind, kernels: &[KernelGrid]) -> RunReport {
+fn run_profiled(engine: EngineKind, model: Model, kernels: &[KernelGrid]) -> RunReport {
     let mut cfg = config(engine);
     cfg.profile = true;
-    let model = DabModel::new(&cfg, DabConfig::paper_default());
-    let sim = GpuSim::new(cfg, Box::new(model), NdetSource::seeded(1));
-    sim.run(kernels)
+    let model = model.build(&cfg);
+    GpuSim::new(cfg, model, NdetSource::seeded(1)).run(kernels)
 }
 
-/// The two hot-loop workloads: a serialized atomic reduction (every warp
-/// hammers one cell, so most SM cycles are response waits) and a BC trace
-/// on a small uniform graph (bursty atomics with long drain phases).
-fn workloads() -> Vec<(&'static str, Vec<KernelGrid>)> {
+/// The three hot-loop workloads: a serialized atomic reduction under DAB
+/// (every warp hammers one cell, so most SM cycles are response waits), a
+/// BC trace on a small uniform graph under DAB (bursty atomics with long
+/// drain phases), and a smaller single-cell reduction under GPUDet (serial
+/// mode: one warp's atomic in flight at a time, every other scheduler
+/// gated shut).
+fn workloads() -> Vec<(&'static str, Model, Vec<KernelGrid>)> {
     let atomic = vec![atomic_sum_grid(65536, OUTPUT_ADDR)];
     let graph = Graph::uniform(96, 256, 7);
     let (bc, _) = bc_trace(&graph, "u96", 20.0);
-    vec![("atomic_sum_64k", atomic), ("bc_uniform_96", bc)]
+    // GPUDet serializes every warp's atomic across the whole GPU, so 64k
+    // elements would make its dense oracle runs dominate the benchmark.
+    let gpudet_atomic = vec![atomic_sum_grid(8192, OUTPUT_ADDR)];
+    vec![
+        ("atomic_sum_64k", Model::Dab, atomic),
+        ("bc_uniform_96", Model::Dab, bc),
+        ("gpudet_atomic_sum_8k", Model::GpuDet, gpudet_atomic),
+    ]
 }
 
 /// Measured replication-sweep datapoint: one seed sweep run job-by-job and
@@ -185,7 +219,7 @@ fn bench_replication_sweep(c: &mut Criterion) -> ReplicationSweep {
 
 fn bench_engines(c: &mut Criterion) {
     let mut rows = Vec::new();
-    for (name, kernels) in workloads() {
+    for (name, model, kernels) in workloads() {
         let mut g = c.benchmark_group(name);
         let mut measured = Vec::new();
         for (label, engine) in [("dense", EngineKind::Dense), ("event", EngineKind::Event)] {
@@ -193,7 +227,7 @@ fn bench_engines(c: &mut Criterion) {
             g.bench_function(label, |b| {
                 b.iter(|| {
                     let started = Instant::now();
-                    let report = run(engine, &kernels);
+                    let report = run(engine, model, &kernels);
                     let secs = started.elapsed().as_secs_f64();
                     let best = last.as_ref().map_or(secs, |m| m.best_secs.min(secs));
                     last = Some(Measurement {
@@ -214,7 +248,7 @@ fn bench_engines(c: &mut Criterion) {
         g.bench_function("event_profiled", |b| {
             b.iter(|| {
                 let started = Instant::now();
-                let report = run_profiled(EngineKind::Event, &kernels);
+                let report = run_profiled(EngineKind::Event, model, &kernels);
                 let secs = started.elapsed().as_secs_f64();
                 let best = profiled_last
                     .as_ref()
@@ -241,7 +275,7 @@ fn bench_engines(c: &mut Criterion) {
             g.bench_function(label, |b| {
                 b.iter(|| {
                     let started = Instant::now();
-                    let report = run_traced(EngineKind::Event, &kernels, mode);
+                    let report = run_traced(EngineKind::Event, model, &kernels, mode);
                     let secs = started.elapsed().as_secs_f64();
                     let best = last.as_ref().map_or(secs, |m| m.best_secs.min(secs));
                     last = Some(Measurement {

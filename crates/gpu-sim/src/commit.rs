@@ -31,8 +31,8 @@
 use std::sync::Arc;
 
 use crate::exec::{
-    AtomicIssue, AtomicRoute, BarrierRelease, ExecutionModel, FenceAction, HookMask, SchedId,
-    StoreRoute, WarpId,
+    AtomicIssue, AtomicRoute, BarrierRelease, ExecutionModel, FenceAction, HookMask, IssueGate,
+    SchedId, StoreRoute, WarpId,
 };
 use crate::imeta::InstrMeta;
 use crate::isa::{AtomicAccess, AtomicOp, Instr, LockKind};
@@ -185,6 +185,10 @@ pub struct CommitParams {
     /// Whether the event engine is active (incremental `ready_bound`
     /// maintenance and active-set skipping).
     pub event: bool,
+    /// The model's [`issue_gate`](ExecutionModel::issue_gate), snapshotted
+    /// at the top of the issue phase. The event walk skips schedulers it
+    /// does not admit; the gate can only narrow during the phase.
+    pub gate: IssueGate,
     /// The cluster's request-injection headroom in flits, snapshotted from
     /// [`Interconnect::request_injection_budget`] at the start of the issue
     /// phase. Exact for the whole phase: nothing enters the interconnect
@@ -443,7 +447,11 @@ impl Cx<'_, '_> {
     /// in place. Skipping is equivalent to the dense visit because
     /// `ready_bound > cycle` guarantees `build_views` would return empty
     /// (the bound is never stale-high), and an empty view set is exactly
-    /// the dense `continue`: no gating, no pick, no issue.
+    /// the dense `continue`: no gating, no pick, no issue. Schedulers the
+    /// model's issue gate does not admit are skipped the same way, with
+    /// their bound left as it is: every `can_issue` answer there would be
+    /// `false`, and a stale-low bound only costs a visit once the gate
+    /// reopens.
     ///
     /// Visited schedulers maintain their bound *incrementally* instead of
     /// rescanning warps: the bound is re-armed to `u64::MAX` before the
@@ -455,11 +463,13 @@ impl Cx<'_, '_> {
     fn run(&mut self) {
         let cycle = self.p.cycle;
         let event = self.p.event;
+        let gate = self.p.gate;
         if event && self.shard.sms.iter().all(|sm| sm.ready_bound() > cycle) {
             return;
         }
         for local in 0..self.p.spc {
-            if event && self.shard.sms[local].ready_bound() > cycle {
+            let sm_idx = self.global_sm(local);
+            if event && (self.shard.sms[local].ready_bound() > cycle || !gate.admits_sm(sm_idx)) {
                 continue;
             }
             self.out.sms_ticked += 1;
@@ -476,7 +486,10 @@ impl Cx<'_, '_> {
                     }
                     continue;
                 }
-                if event && self.shard.sms[local].schedulers[sched].ready_bound > cycle {
+                if event
+                    && (self.shard.sms[local].schedulers[sched].ready_bound > cycle
+                        || !gate.admits(sm_idx, sched))
+                {
                     continue;
                 }
                 let row = local * self.p.num_sched + sched;
@@ -529,6 +542,11 @@ impl Cx<'_, '_> {
     /// Clusters whose footprint includes the `CAN_ISSUE` hook are never
     /// committed inert, so the `Shared::Inert` answer (always `true`) is
     /// exactly the trait default such clusters would observe.
+    ///
+    /// The dense walk visits every scheduler, so debug builds check the
+    /// [`issue_gate`](ExecutionModel::issue_gate) contract here: a gate
+    /// that shuts out a scheduler `can_issue` would admit makes the event
+    /// engine drop that issue.
     fn apply_model_gating(&mut self, local: usize, sched: usize, views: &mut [WarpView]) {
         let cycle = self.p.cycle;
         let sm_idx = self.global_sm(local);
@@ -539,6 +557,13 @@ impl Cx<'_, '_> {
                 unique: v.unique,
             };
             v.ready = self.sh.can_issue(warp_id, v.next_is_atomic, cycle);
+            debug_assert!(
+                !v.ready || self.p.gate.admits(sm_idx, sched),
+                "can_issue admitted warp {} on scheduler {sm_idx}:{sched} at cycle {cycle}, \
+                 which the model's issue gate {:?} shuts out",
+                v.unique,
+                self.p.gate,
+            );
         }
     }
 

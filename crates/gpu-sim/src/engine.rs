@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use crate::commit::{self, CommitOut, CommitParams, EngineShared, Shared};
 use crate::config::{EngineKind, GpuConfig};
-use crate::exec::{ExecutionModel, ModelCtx, SchedCensus, SchedId, WakeCmd, WarpId};
+use crate::exec::{ExecutionModel, IssueGate, ModelCtx, SchedCensus, SchedId, WakeCmd, WarpId};
 use crate::imeta::{warp_meta, WarpMeta};
 use crate::kernel::{CtaDistribution, KernelGrid};
 use crate::lock::{LockManager, LockPrescan};
@@ -299,6 +299,9 @@ pub struct GpuSim {
     /// Per-cluster admission scratch for the commit classifier (reused
     /// every cycle to avoid allocation).
     commit_admit: Vec<bool>,
+    /// The model's issue gate, snapshotted at the top of each issue phase
+    /// and handed to that phase's prepare and commit walks.
+    gate: IssueGate,
     /// Per-phase host wall-clock accumulator (prepare/commit/merge).
     phase_wall: PhaseWall,
     /// Structured event tracer, `None` when `cfg.trace` is off — the
@@ -431,6 +434,7 @@ impl GpuSim {
             last_progress_cycle: 0,
             activity: ActivityCounters::default(),
             commit_admit: Vec::new(),
+            gate: IssueGate::All,
             phase_wall: PhaseWall::default(),
         }
     }
@@ -886,10 +890,13 @@ impl GpuSim {
                 }
                 panic!(
                     "deadlock: no progress since cycle {} (model {}, kernel {}); \
+                     issue gate: {gate:?}; next event hint: {hint:?}; \
                      lock queues: {locks}; interconnect queues: {icnt}; live warps:{dump}{tail}",
                     self.last_progress_cycle,
                     self.model.name(),
                     grid.name,
+                    gate = self.model.issue_gate(),
+                    hint = self.model.next_event_hint(),
                     locks = self.locks.queue_summary(),
                     icnt = self.icnt.queue_summary(),
                 );
@@ -972,6 +979,11 @@ impl GpuSim {
     /// with a known future event fold their absolute event cycle into the
     /// jump target, clamped to `cycle + 1` so the wheel never stalls or
     /// re-visits the present.
+    ///
+    /// Schedulers the model's [`issue_gate`](ExecutionModel::issue_gate)
+    /// shuts out leave their bounds out of the fold: they cannot issue
+    /// before the gate widens, and it widens only in a model tick, which
+    /// runs on a visited cycle and is read again here right after.
     fn advance_cycle_event(&mut self) {
         // Work that must be processed next cycle forces a dense step.
         let busy_now = self.icnt.has_queued_work()
@@ -986,11 +998,14 @@ impl GpuSim {
             let next = self.cycle + 1;
             let mut target = u64::MAX;
             let mut fold = |ev: u64| target = target.min(ev.max(next));
-            for sm in self.sms() {
-                let b = sm.ready_bound();
-                if b < u64::MAX {
-                    fold(b);
+            match self.model.issue_gate() {
+                IssueGate::All => {
+                    for sm in self.sms() {
+                        fold(sm.ready_bound());
+                    }
                 }
+                IssueGate::Only(s) => fold(self.sm(s.sm).schedulers[s.sched].ready_bound),
+                IssueGate::Closed => {}
             }
             for p in &self.partitions {
                 if let Some(t) = p.next_event_cycle() {
@@ -1403,6 +1418,15 @@ impl GpuSim {
         let hook_mask = self.model.commit_hook_mask();
         let admit = !self.trace_full();
         let prepare_started = std::time::Instant::now();
+        self.gate = self.model.issue_gate();
+        let gate = self.gate;
+        // GTRR's pick records warps reaching their first atomic even when
+        // none is ready, so skipping a gated visit would lose that update.
+        debug_assert!(
+            gate == IssueGate::All || self.sched_kind != SchedKind::Gtrr,
+            "model {} closed its issue gate under GTRR scheduling",
+            self.model.name()
+        );
         match pool {
             None => {
                 let cycle = self.cycle;
@@ -1412,6 +1436,7 @@ impl GpuSim {
                         det_aware,
                         srr_like,
                         event,
+                        gate,
                         num_mem_partitions,
                         hook_mask,
                         admit,
@@ -1426,6 +1451,7 @@ impl GpuSim {
                         det_aware,
                         srr_like,
                         use_ready_bound: event,
+                        gate,
                         num_mem_partitions,
                         hook_mask,
                         admit,
@@ -1459,6 +1485,10 @@ impl GpuSim {
     /// visit because `ready_bound > cycle` guarantees `build_views` would
     /// return empty (the bound is never stale-high), and an empty view set
     /// is exactly the dense `continue`: no gating, no pick, no issue.
+    ///
+    /// Schedulers the model's [`issue_gate`](ExecutionModel::issue_gate)
+    /// does not admit are skipped the same way (see
+    /// [`commit::commit_cluster`]).
     ///
     /// The skip conditions match the parked check in
     /// [`ClusterShard::prepare_views`](crate::par::ClusterShard): mid-commit
@@ -1503,10 +1533,13 @@ impl GpuSim {
             // classification loop O(clusters), not O(warps).
             debug_assert_eq!(
                 shard.active,
-                shard.sms.iter().any(|sm| sm
-                    .schedulers
+                shard
+                    .sms
                     .iter()
-                    .any(|s| { s.live > 0 && !(event && s.ready_bound > cycle) }))
+                    .any(|sm| sm.schedulers.iter().enumerate().any(|(i, s)| {
+                        s.live > 0
+                            && !(event && (s.ready_bound > cycle || !self.gate.admits(sm.id, i)))
+                    }))
             );
             if !shard.active {
                 continue;
@@ -1603,6 +1636,7 @@ impl GpuSim {
             det_aware: self.sched_kind.is_determinism_aware(),
             srr_like: self.sched_kind == SchedKind::Srr,
             event: self.cfg.engine == EngineKind::Event,
+            gate: self.gate,
             icnt_budget: self.icnt.request_injection_budget(cl),
         }
     }

@@ -34,6 +34,40 @@ pub struct SchedId {
     pub sched: usize,
 }
 
+/// Which warp schedulers the model may let issue this cycle (see
+/// [`ExecutionModel::issue_gate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IssueGate {
+    /// Every scheduler may issue (subject to [`ExecutionModel::can_issue`]).
+    All,
+    /// Only this scheduler may issue (GPUDet's serial-mode token holder).
+    Only(SchedId),
+    /// No scheduler may issue (GPUDet's commit mode).
+    Closed,
+}
+
+impl IssueGate {
+    /// Whether the gate admits scheduler `sched` of global SM `sm`.
+    #[inline]
+    pub fn admits(self, sm: usize, sched: usize) -> bool {
+        match self {
+            Self::All => true,
+            Self::Only(s) => s.sm == sm && s.sched == sched,
+            Self::Closed => false,
+        }
+    }
+
+    /// Whether the gate admits any scheduler of global SM `sm`.
+    #[inline]
+    pub fn admits_sm(self, sm: usize) -> bool {
+        match self {
+            Self::All => true,
+            Self::Only(s) => s.sm == sm,
+            Self::Closed => false,
+        }
+    }
+}
+
 /// Identity of a warp at an issue-time hook.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WarpId {
@@ -371,8 +405,31 @@ pub trait ExecutionModel: std::fmt::Debug + Send {
 
     /// May this warp issue its next instruction this cycle? (GPUDet uses
     /// this for quantum and serial-mode gating.)
+    ///
+    /// Must return `false`, without side effects, for every warp of a
+    /// scheduler that [`issue_gate`](Self::issue_gate) does not admit:
+    /// the event engine does not call it for such warps at all.
     fn can_issue(&mut self, warp: WarpId, is_atomic: bool, cycle: u64) -> bool {
         true
+    }
+
+    /// The schedulers [`can_issue`](Self::can_issue) may answer `true` for
+    /// this cycle.
+    ///
+    /// The event engine reads the gate at the top of the issue phase and
+    /// again when it picks the next cycle to visit, and parks every
+    /// scheduler the gate does not admit: no views, no `can_issue` call,
+    /// no policy pick, and its ready bound left out of the wheel's jump
+    /// target. That is only a no-op of the dense visit if the gate never
+    /// admits fewer schedulers than `can_issue` would, and if the
+    /// scheduling policy's pick has no side effects when no warp is ready
+    /// (true of every policy but GTRR). The gate may narrow at
+    /// any hook, but it may widen only in [`tick`](Self::tick): a parked
+    /// scheduler is woken by the cycle visit that follows the tick. The
+    /// dense engine ignores the gate (debug builds check the contract
+    /// there). The default admits every scheduler.
+    fn issue_gate(&self) -> IssueGate {
+        IssueGate::All
     }
 
     /// An instruction was issued (after routing hooks).
@@ -444,8 +501,11 @@ pub trait ExecutionModel: std::fmt::Debug + Send {
     /// The event engine (and the dense engine's fast-forward) only elides
     /// cycles on which `needs_tick` is `false`; models whose `tick` is a
     /// provable no-op whenever their externally-driven inputs are unchanged
-    /// may override this to admit cycle-skipping. The default is maximally
-    /// conservative: tick whenever the model is not quiescent.
+    /// may override this to admit cycle-skipping. A tick that only waits
+    /// for a known cycle (GPUDet's commit deadline) need not run before it
+    /// if [`next_event_hint`](Self::next_event_hint) reports that cycle.
+    /// The default is maximally conservative: tick whenever the model is
+    /// not quiescent.
     fn needs_tick(&self) -> bool {
         !self.quiescent()
     }

@@ -24,7 +24,7 @@ use std::sync::mpsc;
 
 use crate::commit::{self, CommitFootprint, CommitOut, CommitParams};
 use crate::config::EngineKind;
-use crate::exec::{HookMask, SchedCensus};
+use crate::exec::{HookMask, IssueGate, SchedCensus};
 use crate::mem::packet::Packet;
 use crate::sched::WarpView;
 use crate::sm::Sm;
@@ -344,7 +344,9 @@ impl ClusterShard {
     /// [`ready_bound`](crate::sm::SchedulerCtx::ready_bound) lies past
     /// `cycle` are skipped: the bound invariant guarantees their
     /// `build_views` would return empty, which is exactly what the commit
-    /// loop treats a skipped entry as.
+    /// loop treats a skipped entry as. So are schedulers the model's issue
+    /// `gate` does not admit: their `can_issue` answers would all be
+    /// `false`, which the commit loop treats the same way.
     ///
     /// `hook_mask`/`admit` gate the footprint work: once the footprint is
     /// [`blocked`](CommitFootprint::blocked) under the model's mask (or
@@ -359,6 +361,7 @@ impl ClusterShard {
         det_aware: bool,
         srr_like: bool,
         use_ready_bound: bool,
+        gate: IssueGate,
         num_mem_partitions: usize,
         hook_mask: HookMask,
         admit: bool,
@@ -381,7 +384,9 @@ impl ClusterShard {
             for sched in 0..*num_schedulers {
                 let row = local * *num_schedulers + sched;
                 let parked = sm.schedulers[sched].live == 0
-                    || (use_ready_bound && sm.schedulers[sched].ready_bound > cycle);
+                    || (use_ready_bound
+                        && (sm.schedulers[sched].ready_bound > cycle
+                            || !gate.admits(sm.id, sched)));
                 if parked {
                     views[row] = Vec::new();
                     view_bounds[row] = u64::MAX;
@@ -443,8 +448,11 @@ pub enum Phase {
         /// Scheduler kind is SRR (gated batches may not issue at all).
         srr_like: bool,
         /// Event engine: skip schedulers whose ready bound lies past
-        /// `cycle` instead of building (provably empty) views for them.
+        /// `cycle` or that `gate` does not admit, instead of building
+        /// views that cannot yield a pick.
         use_ready_bound: bool,
+        /// The model's issue gate, snapshotted at the top of the phase.
+        gate: IssueGate,
         /// Partition interleave divisor for footprint accumulation.
         num_mem_partitions: usize,
         /// The model's commit-hook mask: footprint accumulation stops
@@ -477,6 +485,7 @@ impl PhaseJob {
                 det_aware,
                 srr_like,
                 use_ready_bound,
+                gate,
                 num_mem_partitions,
                 hook_mask,
                 admit,
@@ -485,6 +494,7 @@ impl PhaseJob {
                 det_aware,
                 srr_like,
                 use_ready_bound,
+                gate,
                 num_mem_partitions,
                 hook_mask,
                 admit,
@@ -691,6 +701,7 @@ mod tests {
                         det_aware: false,
                         srr_like: false,
                         use_ready_bound: false,
+                        gate: IssueGate::All,
                         num_mem_partitions: 1,
                         hook_mask: HookMask::EMPTY,
                         admit: true,
@@ -727,7 +738,16 @@ mod tests {
         let mut shard = shards(&cfg).remove(0);
         shard.mark_dirty(0);
         assert!(shard.is_dirty(0));
-        shard.prepare_views(0, false, false, false, 1, HookMask::EMPTY, true);
+        shard.prepare_views(
+            0,
+            false,
+            false,
+            false,
+            IssueGate::All,
+            1,
+            HookMask::EMPTY,
+            true,
+        );
         assert!(!shard.is_dirty(0));
     }
 

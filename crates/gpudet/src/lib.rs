@@ -26,6 +26,14 @@
 //! `gpudet.serial_cycles`, which the `fig03_gpudet_breakdown` bench target
 //! turns back into the paper's Fig. 3.
 //!
+//! The modes also tell the event engine which cycles it may skip. The
+//! model's [`issue_gate`](ExecutionModel::issue_gate) admits every
+//! scheduler in parallel mode, none in commit mode, and in serial mode
+//! only the token holder's, until its atomic issues. The engine parks
+//! every other scheduler, and [`next_event_hint`](ExecutionModel::next_event_hint)
+//! reports the commit deadline. So a serial or commit phase costs one
+//! engine visit per token handover or memory event, not one per cycle.
+//!
 //! # Examples
 //!
 //! ```
@@ -54,7 +62,8 @@ use std::collections::BTreeMap;
 
 use gpu_sim::config::GpuConfig;
 use gpu_sim::exec::{
-    AtomicIssue, AtomicRoute, ExecutionModel, HookMask, ModelCtx, StoreRoute, WarpId,
+    AtomicIssue, AtomicRoute, ExecutionModel, HookMask, IssueGate, ModelCtx, SchedId, StoreRoute,
+    WarpId,
 };
 use gpu_sim::kernel::CtaDistribution;
 use gpu_sim::mem::packet::{AtomKind, WarpRef};
@@ -94,6 +103,8 @@ enum Mode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct WarpInfo {
     warp: WarpRef,
+    /// Scheduler owning the warp (the serial-mode issue gate).
+    sched: SchedId,
     issued: u32,
     /// Quantum over: budget exhausted or atomic completed in serial mode.
     done: bool,
@@ -274,6 +285,7 @@ impl ExecutionModel for GpuDetModel {
                     sm: warp.sched.sm,
                     slot: warp.slot,
                 },
+                sched: warp.sched,
                 issued: 0,
                 done: false,
                 pending_atomic: false,
@@ -451,14 +463,35 @@ impl ExecutionModel for GpuDetModel {
         self.mode == Mode::Parallel && self.store_entries == 0 && self.serial_current.is_none()
     }
 
+    fn issue_gate(&self) -> IssueGate {
+        match self.mode {
+            Mode::Parallel => IssueGate::All,
+            Mode::Commit => IssueGate::Closed,
+            // Only the token holder may issue, and only until its atomic
+            // issues; the next holder is chosen in `tick`.
+            Mode::Serial => match self.serial_current {
+                Some(u) if !self.awaiting_ack => self
+                    .warps
+                    .get(&u)
+                    .map_or(IssueGate::Closed, |w| IssueGate::Only(w.sched)),
+                _ => IssueGate::Closed,
+            },
+        }
+    }
+
+    fn next_event_hint(&self) -> Option<u64> {
+        (self.mode == Mode::Commit).then_some(self.commit_until)
+    }
+
     fn needs_tick(&self) -> bool {
-        // In parallel mode `tick` only checks quantum completion, whose
-        // inputs (per-warp issue counts, warp arrivals/retirements, dispatch
-        // status) change only on engine-visited cycles and are re-checked
-        // the same cycle; the mode-accounting totals telescope across a
-        // gap. Commit and serial modes advance on their own clock and must
-        // tick every cycle.
-        self.mode != Mode::Parallel
+        // `tick` acts on engine-visited cycles only: quantum completion
+        // (parallel mode) and the end of the token holder's turn (serial
+        // mode) change with warp issues, acks and exits, which happen on
+        // visited cycles and are re-checked the same cycle; the commit
+        // deadline is reported through `next_event_hint`. The mode-cycle
+        // totals telescope across a gap. Only a serial mode without a
+        // token holder must tick, to hand the token on.
+        self.mode == Mode::Serial && self.serial_current.is_none()
     }
 }
 

@@ -266,7 +266,12 @@ mod tests {
         assert_eq!(back.unix_secs, 1_754_000_000);
         assert_eq!(back.geomean_speedup, rec.geomean_speedup);
         assert_eq!(back.workloads, rec.workloads);
-        assert_eq!(back.workloads.len(), 2);
+        let committed = doc
+            .get("workloads")
+            .and_then(Json::as_arr)
+            .map_or(0, <[Json]>::len);
+        assert!(committed > 0);
+        assert_eq!(back.workloads.len(), committed);
         assert!(back
             .workloads
             .iter()

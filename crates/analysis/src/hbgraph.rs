@@ -25,6 +25,7 @@ use std::fmt::Write as _;
 
 use dab_workloads::suite::Benchmark;
 use gpu_sim::kernel::KernelGrid;
+use obs::json_str;
 
 use crate::conflict::{
     classify_pair, group_self_unordered, groups_unordered, walk_kernel, AccessCat,
@@ -392,27 +393,6 @@ impl HbGraph {
         out.push_str("}\n");
         out
     }
-}
-
-/// JSON string literal (same escaping as [`crate::report`]).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

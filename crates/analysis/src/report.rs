@@ -14,6 +14,8 @@
 
 use std::fmt::Write as _;
 
+use obs::json_str;
+
 /// Determinism class of a conflict, ordered by severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Class {
@@ -736,27 +738,6 @@ pub fn glob_match(pattern: &str, text: &str) -> bool {
         }
     }
     inner(pattern.as_bytes(), text.as_bytes())
-}
-
-/// JSON string literal (same escaping as `crates/bench/src/results.rs`).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Addresses as hex strings (survive doubles-only JSON readers); `null`

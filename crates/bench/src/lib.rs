@@ -8,12 +8,11 @@
 //!
 //! Scale is controlled by `DAB_SCALE=ci|paper` (default `ci`); see
 //! [`dab_workloads::scale::Scale`]. Independent design points run in
-//! parallel via [`Sweep`]/[`Runner::run_many`] (`DAB_JOBS` workers), each
-//! simulation can additionally shard its clusters across worker threads
-//! (`DAB_SIM_THREADS`, default 1 — see [`gpu_sim::par`]), and every target
-//! also writes machine-readable `results/<target>.json` through
-//! [`ResultsSink`]. Neither parallelism knob changes any result bit, and
-//! neither does the engine-core selection (`DAB_ENGINE=dense|event`,
+//! parallel via [`Sweep`]/[`Runner::run_many`] (`DAB_JOBS` workers; each
+//! simulation runs on one thread), and every target also writes
+//! machine-readable `results/<target>.json` through [`ResultsSink`]. The
+//! worker count changes no result bit, and neither does the engine-core
+//! selection (`DAB_ENGINE=dense|event`,
 //! default `event`) — the dense sweep is kept as the equivalence oracle
 //! for the activity-driven engine.
 
@@ -50,22 +49,20 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// Builds a runner from the environment (`DAB_SCALE`,
-    /// `DAB_SIM_THREADS`, `DAB_ENGINE`, `DAB_TRACE`,
-    /// `DAB_TRACE_SAMPLE`, `DAB_PROFILE`).
+    /// Builds a runner from the environment (`DAB_SCALE`, `DAB_ENGINE`,
+    /// `DAB_TRACE`, `DAB_TRACE_SAMPLE`, `DAB_PROFILE`).
     ///
     /// # Panics
     ///
-    /// Panics when `DAB_SIM_THREADS` is set to an invalid value (anything
-    /// but a positive integer), `DAB_ENGINE` to anything but
+    /// Panics when a removed variable
+    /// ([`REMOVED_VARS`](gpu_sim::par::REMOVED_VARS)) is set, `DAB_ENGINE` to anything but
     /// `dense`/`event`, `DAB_TRACE` to anything but
     /// `off`/`summary`/`full`, `DAB_TRACE_SAMPLE` to anything but a
     /// positive integer, or `DAB_PROFILE` to anything but `0`/`1`.
     pub fn from_env() -> Self {
+        gpu_sim::par::reject_removed_vars();
         let scale = Scale::from_env();
         let mut gpu = scale.gpu();
-        gpu.sim_threads = gpu_sim::par::sim_threads_from_env();
-        gpu.commit_shard = gpu_sim::par::commit_shard_from_env();
         gpu.engine = gpu_sim::par::engine_from_env();
         gpu.trace = obs::trace_mode_from_env();
         gpu.trace_sample_interval = obs::sample_interval_from_env();

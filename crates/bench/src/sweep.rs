@@ -13,10 +13,8 @@
 //! tests that must not race on the environment use
 //! [`Runner::run_many_with_workers`] / [`Sweep::run_with_workers`].
 //! `DAB_PROGRESS=1` adds a per-job heartbeat line (completion count and a
-//! linear ETA) so long sweeps are observable from CI logs. This
-//! knob is orthogonal to `DAB_SIM_THREADS`, which parallelizes *inside* one
-//! simulation (see [`gpu_sim::par`]); both compose and neither changes any
-//! result bit.
+//! linear ETA) so long sweeps are observable from CI logs. Each simulation
+//! runs on one thread, so `DAB_JOBS` is the only way to run in parallel.
 //!
 //! With `DAB_REPLICATIONS=N` (default 1) the sweep additionally *lowers*
 //! seed-only-differing job groups — same kernel slice, same

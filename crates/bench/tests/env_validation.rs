@@ -1,24 +1,26 @@
-//! Worker-count environment variables fail loudly on invalid values.
+//! Environment variables fail loudly on invalid or removed values.
 //!
-//! `DAB_JOBS` and `DAB_SIM_THREADS` used to (or would otherwise) fall back
-//! to a default when unparseable, silently turning a typo'd parallel run
-//! into a serial one. These tests pin the strict behavior: garbage or zero
-//! panics with a message naming the variable and the offending value.
+//! `DAB_JOBS` used to fall back to a default when unparseable, silently
+//! turning a typo'd parallel run into a serial one. These tests pin the
+//! strict behavior: garbage or zero panics with a message naming the
+//! variable and the offending value. A variable that was removed
+//! (`gpu_sim::par::REMOVED_VARS`) panics too, so an old script line does
+//! not silently get a different run.
 //!
-//! All cases live in one `#[test]` because they mutate process-global
-//! environment variables; a single test body keeps them sequential.
+//! All cases mutate process-global environment variables, so they
+//! serialize on one lock.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dab_bench::{jobs_from_env, JOBS_VAR};
-use gpu_sim::par::{sim_threads_from_env, SIM_THREADS_VAR};
+use gpu_sim::par::REMOVED_VARS;
 
 /// Serializes the tests in this file: they all mutate process-global
 /// environment variables. `lock()` instead of a poisoning-prone `unwrap`
 /// so one failing test doesn't cascade.
 static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-fn panic_message(f: impl FnOnce() -> usize) -> Option<String> {
+fn panic_message<T>(f: impl FnOnce() -> T) -> Option<String> {
     match catch_unwind(AssertUnwindSafe(f)) {
         Ok(_) => None,
         Err(payload) => Some(
@@ -35,7 +37,6 @@ fn panic_message(f: impl FnOnce() -> usize) -> Option<String> {
 fn invalid_worker_counts_panic_with_context() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let saved_jobs = std::env::var(JOBS_VAR).ok();
-    let saved_threads = std::env::var(SIM_THREADS_VAR).ok();
 
     for bad in ["0", "abc", "", "-3", "1.5"] {
         std::env::set_var(JOBS_VAR, bad);
@@ -45,23 +46,11 @@ fn invalid_worker_counts_panic_with_context() {
             msg.contains(JOBS_VAR) && msg.contains("positive integer"),
             "unhelpful DAB_JOBS error for {bad:?}: {msg}"
         );
-
-        std::env::set_var(SIM_THREADS_VAR, bad);
-        let msg = panic_message(sim_threads_from_env)
-            .unwrap_or_else(|| panic!("DAB_SIM_THREADS={bad:?} must panic, not fall back"));
-        assert!(
-            msg.contains(SIM_THREADS_VAR) && msg.contains("positive integer"),
-            "unhelpful DAB_SIM_THREADS error for {bad:?}: {msg}"
-        );
     }
 
-    // Valid values parse; absent values use the documented defaults.
+    // Valid values parse; absent values use the documented default.
     std::env::set_var(JOBS_VAR, " 6 ");
     assert_eq!(jobs_from_env(), 6);
-    std::env::set_var(SIM_THREADS_VAR, "4");
-    assert_eq!(sim_threads_from_env(), 4);
-    std::env::remove_var(SIM_THREADS_VAR);
-    assert_eq!(sim_threads_from_env(), 1, "absent means the serial engine");
     std::env::remove_var(JOBS_VAR);
     assert!(jobs_from_env() >= 1, "absent falls back to the machine");
 
@@ -69,28 +58,39 @@ fn invalid_worker_counts_panic_with_context() {
         Some(v) => std::env::set_var(JOBS_VAR, v),
         None => std::env::remove_var(JOBS_VAR),
     }
-    match saved_threads {
-        Some(v) => std::env::set_var(SIM_THREADS_VAR, v),
-        None => std::env::remove_var(SIM_THREADS_VAR),
-    }
 }
 
 #[test]
-fn runner_from_env_rejects_invalid_sim_threads() {
-    // `Runner::from_env` must surface the same strict validation.
+fn removed_variables_are_rejected() {
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let saved = std::env::var(SIM_THREADS_VAR).ok();
+    let saved: Vec<_> = REMOVED_VARS
+        .iter()
+        .map(|var| (var, std::env::var_os(var)))
+        .collect();
+    for var in REMOVED_VARS {
+        std::env::remove_var(var);
+    }
+    // Unset, nothing is rejected.
+    let _ = dab_bench::Runner::from_env();
 
-    std::env::set_var(SIM_THREADS_VAR, "zero");
-    let result = catch_unwind(AssertUnwindSafe(dab_bench::Runner::from_env));
-    assert!(result.is_err(), "Runner::from_env must reject garbage");
+    for var in REMOVED_VARS {
+        // Any value is rejected, including one the old engine accepted.
+        for value in ["1", "0", "garbage"] {
+            std::env::set_var(var, value);
+            let msg = panic_message(dab_bench::Runner::from_env)
+                .unwrap_or_else(|| panic!("{var}={value:?} must be rejected"));
+            assert!(
+                msg.contains(var) && msg.contains("removed") && msg.contains("DAB_JOBS"),
+                "unhelpful error for {var}={value:?}: {msg}"
+            );
+        }
+        std::env::remove_var(var);
+    }
 
-    std::env::set_var(SIM_THREADS_VAR, "3");
-    let runner = dab_bench::Runner::from_env();
-    assert_eq!(runner.gpu.sim_threads, 3);
-
-    match saved {
-        Some(v) => std::env::set_var(SIM_THREADS_VAR, v),
-        None => std::env::remove_var(SIM_THREADS_VAR),
+    for (var, value) in saved {
+        match value {
+            Some(v) => std::env::set_var(var, v),
+            None => std::env::remove_var(var),
+        }
     }
 }

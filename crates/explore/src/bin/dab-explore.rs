@@ -22,9 +22,9 @@
 //!   at least two outcome classes
 //! - `--quiet` — print gate failures only
 //!
-//! Environment: `DAB_SCALE`, `DAB_SIM_THREADS`, `DAB_ENGINE`,
-//! `DAB_RESULTS_DIR`, `DAB_EXPLORE_BUDGET`, `DAB_EXPLORE_VERIFY`. All
-//! output is byte-identical across runs and `DAB_SIM_THREADS` settings.
+//! Environment: `DAB_SCALE`, `DAB_ENGINE`, `DAB_RESULTS_DIR`,
+//! `DAB_EXPLORE_BUDGET`, `DAB_EXPLORE_VERIFY`. All output is
+//! byte-identical across runs.
 //!
 //! Exit codes: `0` all gates hold; `1` a gate failed (a statically
 //! single-class benchmark explored to more than one class, a walk failed
@@ -148,9 +148,8 @@ fn main() -> ExitCode {
         }
     }
 
+    gpu_sim::par::reject_removed_vars();
     let mut gpu = scale.gpu();
-    gpu.sim_threads = gpu_sim::par::sim_threads_from_env();
-    gpu.commit_shard = gpu_sim::par::commit_shard_from_env();
     gpu.engine = gpu_sim::par::engine_from_env();
     let mut cfg = ExploreConfig::new(gpu).with_env_knobs();
     cfg.model = model;

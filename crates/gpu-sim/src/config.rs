@@ -99,14 +99,6 @@ pub struct GpuConfig {
     /// Extra pipeline latency of one ROP atomic operation.
     pub rop_latency: u32,
 
-    /// Host worker threads used *inside* one simulation (not a Table I row:
-    /// this is a simulator-host knob, set from `DAB_SIM_THREADS`). Per-SM
-    /// front-end work is sharded by compute cluster across this many workers
-    /// and re-merged at a deterministic per-cycle boundary, so results are
-    /// bit-identical at any value. `1` (the default) is the serial engine;
-    /// values above the cluster count are clamped to it.
-    pub sim_threads: usize,
-
     /// Cycle-loop implementation (not a Table I row: a simulator-host knob,
     /// set from `DAB_ENGINE`). [`EngineKind::Dense`] sweeps every cluster,
     /// SM, and scheduler every cycle; [`EngineKind::Event`] (the default)
@@ -115,25 +107,13 @@ pub struct GpuConfig {
     /// bit-identical digests, cycle counts, and architectural statistics.
     pub engine: EngineKind,
 
-    /// Whether the commit phase runs independence-sharded (not a Table I
-    /// row: a simulator-host knob, set from `DAB_COMMIT_SHARD`). When on
-    /// (the default), clusters whose per-cycle commit footprint provably
-    /// cannot interact — no lock use, no model hook the execution model
-    /// overrides, pairwise-disjoint destination partitions — commit on
-    /// worker threads with inert hook stand-ins; the rest commit serially
-    /// in cluster order. Either setting produces bit-identical results;
-    /// `false` forces every cluster onto the serial path.
-    pub commit_shard: bool,
-
     /// Structured event tracing mode (not a Table I row: a simulator-host
     /// knob, set from `DAB_TRACE`). [`obs::TraceMode::Off`] (the default)
     /// constructs no tracer at all; `summary` records rare high-signal
     /// events (lock grants, flush phases, GPUDet mode transitions) plus
     /// the sample grid; `full` records everything down to per-instruction
-    /// issue. The trace is recorded in commit order on the coordinating
-    /// thread, so its deterministic sections are byte-identical at any
-    /// [`sim_threads`](Self::sim_threads) and for either
-    /// [`engine`](Self::engine).
+    /// issue. The trace is recorded in commit order, so its deterministic
+    /// sections are byte-identical for either [`engine`](Self::engine).
     pub trace: obs::TraceMode,
 
     /// Sampling grid interval in cycles for the trace's time-series rows
@@ -206,9 +186,7 @@ impl GpuConfig {
             // bound every atomic burst.
             rop_throughput: 4,
             rop_latency: 8,
-            sim_threads: 1,
             engine: EngineKind::Event,
-            commit_shard: true,
             trace: obs::TraceMode::Off,
             trace_sample_interval: obs::DEFAULT_SAMPLE_INTERVAL,
             profile: false,
@@ -309,11 +287,6 @@ impl GpuConfig {
         }
         if self.icnt_flit_size == 0 || self.icnt_flits_per_cycle == 0 {
             return Err(ConfigError::new("interconnect bandwidth must be non-zero"));
-        }
-        if self.sim_threads == 0 {
-            return Err(ConfigError::new(
-                "sim_threads must be at least 1 (1 = serial engine)",
-            ));
         }
         if self.trace_sample_interval == 0 {
             return Err(ConfigError::new(
@@ -425,14 +398,6 @@ mod tests {
         cfg.trace_sample_interval = 0;
         let err = cfg.validate().unwrap_err();
         assert!(err.to_string().contains("trace_sample_interval"));
-    }
-
-    #[test]
-    fn zero_sim_threads_rejected() {
-        let mut cfg = GpuConfig::small();
-        cfg.sim_threads = 0;
-        let err = cfg.validate().unwrap_err();
-        assert!(err.to_string().contains("sim_threads"));
     }
 
     #[test]

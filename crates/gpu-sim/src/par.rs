@@ -1,37 +1,28 @@
-//! Deterministic intra-simulation parallelism.
+//! Per-cluster shards and the strict parsing of the engine's count and
+//! engine-selector environment variables.
 //!
-//! One simulation is sharded by *compute cluster*: each [`ClusterShard`]
-//! owns a cluster's SMs plus everything those SMs produce ahead of the
+//! One simulation is split by *compute cluster*: each [`ClusterShard`] owns
+//! a cluster's SMs plus everything those SMs produce ahead of the
 //! globally-ordered part of a cycle — prebuilt warp views, scheduler census
 //! rows, locally-staged outbound packets ([`PacketOutbox`]), and an issue
-//! statistics accumulator. A [`WorkerPool`] farms whole shards out to worker
-//! threads for the cluster-local phases of a cycle and collects them back;
-//! the engine then *commits* — issues instructions, consults the execution
-//! model, and drains every outbox into the interconnect — serially, in
-//! cluster-index order. Commit order therefore never depends on thread
-//! interleaving, which is what keeps every digest bit-identical to the
-//! serial engine at any `DAB_SIM_THREADS` (see DESIGN.md, "Cluster-epoch
-//! merge protocol").
+//! statistics accumulator. The engine prepares every shard, then commits —
+//! issues instructions, consults the execution model, and drains every
+//! outbox into the interconnect — in cluster-index order on the simulating
+//! thread (see DESIGN.md, "Per-cluster staging and the merge point").
 //!
-//! The module also owns the strict parsing of the `DAB_SIM_THREADS` /
-//! `DAB_JOBS` worker-count environment variables and of the `DAB_ENGINE`
+//! The module also owns the strict parsing of the `DAB_JOBS` /
+//! `DAB_REPLICATIONS` count environment variables and of the `DAB_ENGINE`
 //! cycle-loop selector: an unparseable value is an operator error and is
 //! rejected loudly instead of silently falling back to a default.
 
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
 
-use crate::commit::{self, CommitFootprint, CommitOut, CommitParams};
 use crate::config::EngineKind;
-use crate::exec::{HookMask, IssueGate, SchedCensus};
+use crate::exec::{IssueGate, SchedCensus};
 use crate::mem::packet::Packet;
 use crate::sched::WarpView;
 use crate::sm::Sm;
 use crate::stats::SimStats;
-
-/// Environment variable selecting worker threads *inside* one simulation.
-pub const SIM_THREADS_VAR: &str = "DAB_SIM_THREADS";
 
 /// Environment variable selecting the cycle-loop implementation
 /// (`dense` or `event`; see [`EngineKind`]).
@@ -41,12 +32,6 @@ pub const ENGINE_VAR: &str = "DAB_ENGINE";
 /// seed sweeps (see
 /// [`GpuSim::run_replicated`](crate::engine::GpuSim::run_replicated)).
 pub const REPLICATIONS_VAR: &str = "DAB_REPLICATIONS";
-
-/// Environment variable selecting whether independence-sharded commits are
-/// enabled (`1`, the default) or every cluster commits on the serial
-/// coordinator path (`0`). Either setting produces bit-identical results;
-/// the knob exists for A/B verification and benchmarking.
-pub const COMMIT_SHARD_VAR: &str = "DAB_COMMIT_SHARD";
 
 /// Error from [`parse_count`]: a worker-count environment variable held
 /// something other than a positive integer.
@@ -103,28 +88,11 @@ pub fn parse_count(var: &str, raw: &str) -> Result<usize, CountError> {
     }
 }
 
-/// Reads `DAB_SIM_THREADS`; absent means `1` (the serial engine).
-///
-/// # Panics
-///
-/// Panics with the [`CountError`] message on an invalid value — a typo must
-/// stop the run, not silently serialize it.
-pub fn sim_threads_from_env() -> usize {
-    match std::env::var(SIM_THREADS_VAR) {
-        Ok(raw) => match parse_count(SIM_THREADS_VAR, &raw) {
-            Ok(n) => n,
-            Err(e) => panic!("{e}"),
-        },
-        Err(std::env::VarError::NotPresent) => 1,
-        Err(e) => panic!("{SIM_THREADS_VAR} is not valid unicode: {e}"),
-    }
-}
-
 /// Reads `DAB_REPLICATIONS`; absent means `1` (no replication batching:
 /// every sweep job runs its own solo pass).
 ///
-/// The same strict-parsing policy as [`sim_threads_from_env`] applies: a
-/// value that is not a positive integer stops the run.
+/// The same strict-parsing policy as [`parse_count`] applies: a value that
+/// is not a positive integer stops the run.
 ///
 /// # Panics
 ///
@@ -137,6 +105,29 @@ pub fn replications_from_env() -> usize {
         },
         Err(std::env::VarError::NotPresent) => 1,
         Err(e) => panic!("{REPLICATIONS_VAR} is not valid unicode: {e}"),
+    }
+}
+
+/// Environment variables earlier versions read to thread one simulation
+/// and that no code reads any more. [`reject_removed_vars`] refuses them,
+/// so an old script line cannot silently get a different run.
+pub const REMOVED_VARS: [&str; 2] = ["DAB_SIM_THREADS", "DAB_COMMIT_SHARD"];
+
+/// Panics if any of [`REMOVED_VARS`] is set, to any value.
+///
+/// # Panics
+///
+/// Panics with a message naming the variable, saying it was removed and
+/// pointing to `DAB_JOBS`.
+pub fn reject_removed_vars() {
+    if let Some(var) = REMOVED_VARS
+        .iter()
+        .find(|var| std::env::var_os(var).is_some())
+    {
+        panic!(
+            "{var} was removed: one simulation always runs on one thread; \
+             unset it, and use DAB_JOBS to run sweep jobs in parallel"
+        );
     }
 }
 
@@ -202,24 +193,6 @@ pub fn engine_from_env() -> EngineKind {
         },
         Err(std::env::VarError::NotPresent) => EngineKind::default(),
         Err(e) => panic!("{ENGINE_VAR} is not valid unicode: {e}"),
-    }
-}
-
-/// Reads `DAB_COMMIT_SHARD`; absent means `true` (sharded commits on).
-///
-/// # Panics
-///
-/// Panics on a value other than `0` or `1` — a typo must stop the run,
-/// not silently change the execution path.
-pub fn commit_shard_from_env() -> bool {
-    match std::env::var(COMMIT_SHARD_VAR) {
-        Ok(raw) => match raw.trim() {
-            "0" => false,
-            "1" => true,
-            other => panic!("{COMMIT_SHARD_VAR} must be \"0\" or \"1\", got {other:?}"),
-        },
-        Err(std::env::VarError::NotPresent) => true,
-        Err(e) => panic!("{COMMIT_SHARD_VAR} is not valid unicode: {e}"),
     }
 }
 
@@ -290,25 +263,6 @@ pub struct ClusterShard {
     /// Issue-path statistics, accumulated per shard and merged into the
     /// global [`SimStats`] in cluster-index order at the end of a run.
     pub stats: SimStats,
-    /// Commit-interaction footprint of this cycle's pick candidates,
-    /// rebuilt by [`prepare_views`](Self::prepare_views). The coordinator
-    /// classifies clusters with it before the commit phase.
-    pub footprint: CommitFootprint,
-    /// Independent-commit job for this cycle, set by the coordinator for
-    /// admitted clusters; a pool worker (or the coordinator at one
-    /// thread) takes it and runs [`commit::commit_cluster`] inert.
-    pub commit_job: Option<CommitParams>,
-    /// Activity the independent commit produced, folded into the
-    /// coordinator's totals in cluster-index order.
-    pub commit_out: CommitOut,
-    /// Whether any scheduler was non-parked during the last
-    /// [`prepare_views`](Self::prepare_views): the commit-sharding
-    /// classifier's activity test, computed here for free since prepare
-    /// already evaluates exactly the parked condition per scheduler.
-    /// Nothing between prepare and classification mutates warp liveness
-    /// or lowers a bound to the current cycle, so the prepare-time value
-    /// is the classification-time value.
-    pub active: bool,
     /// Per-local-SM flag: a barrier release during commit mutated warps of
     /// other schedulers on that SM, so its remaining prebuilt views are
     /// stale and must be rebuilt serially.
@@ -327,10 +281,6 @@ impl ClusterShard {
             census: vec![SchedCensus::default(); rows],
             outbox: PacketOutbox::default(),
             stats: SimStats::default(),
-            footprint: CommitFootprint::default(),
-            commit_job: None,
-            commit_out: CommitOut::default(),
-            active: false,
             dirty: vec![false; sms.len()],
             num_schedulers,
             sms,
@@ -338,7 +288,7 @@ impl ClusterShard {
     }
 
     /// Rebuilds every scheduler's warp views for `cycle` and clears the
-    /// dirty flags. Pure cluster-local work, safe on any worker thread.
+    /// dirty flags.
     ///
     /// With `use_ready_bound` (the event engine), schedulers whose cached
     /// [`ready_bound`](crate::sm::SchedulerCtx::ready_bound) lies past
@@ -347,14 +297,6 @@ impl ClusterShard {
     /// loop treats a skipped entry as. So are schedulers the model's issue
     /// `gate` does not admit: their `can_issue` answers would all be
     /// `false`, which the commit loop treats the same way.
-    ///
-    /// `hook_mask`/`admit` gate the footprint work: once the footprint is
-    /// [`blocked`](CommitFootprint::blocked) under the model's mask (or
-    /// from the start when `admit` is false — full tracing), further
-    /// accumulation cannot change the commit classification, so it stops.
-    /// A blocked cluster's partial footprint is never read beyond the
-    /// `independent` test it already fails.
-    #[allow(clippy::too_many_arguments)]
     pub fn prepare_views(
         &mut self,
         cycle: u64,
@@ -362,24 +304,16 @@ impl ClusterShard {
         srr_like: bool,
         use_ready_bound: bool,
         gate: IssueGate,
-        num_mem_partitions: usize,
-        hook_mask: HookMask,
-        admit: bool,
     ) {
         let Self {
             sms,
             views,
             view_bounds,
-            footprint,
-            active,
             dirty,
             num_schedulers,
             ..
         } = self;
         dirty.fill(false);
-        *footprint = CommitFootprint::default();
-        *active = false;
-        let mut fp_live = admit;
         for (local, sm) in sms.iter().enumerate() {
             for sched in 0..*num_schedulers {
                 let row = local * *num_schedulers + sched;
@@ -391,17 +325,7 @@ impl ClusterShard {
                     views[row] = Vec::new();
                     view_bounds[row] = u64::MAX;
                 } else {
-                    *active = true;
                     let (v, bound) = sm.build_views(sched, cycle, det_aware, srr_like);
-                    if fp_live {
-                        for view in v.iter().filter(|view| view.ready) {
-                            footprint.add_candidate(sm, view.slot, num_mem_partitions);
-                            if footprint.blocked(hook_mask) {
-                                fp_live = false;
-                                break;
-                            }
-                        }
-                    }
                     views[row] = v;
                     view_bounds[row] = bound;
                 }
@@ -409,9 +333,8 @@ impl ClusterShard {
         }
     }
 
-    /// Rebuilds every scheduler's census row. Cluster-local work (policy
-    /// `note_atomic_pending` updates stay within the shard's SMs), safe on
-    /// any worker thread.
+    /// Rebuilds every scheduler's census row. Cluster-local work: policy
+    /// `note_atomic_pending` updates stay within the shard's SMs.
     pub fn prepare_census(&mut self, det_aware: bool) {
         let Self {
             sms,
@@ -436,166 +359,6 @@ impl ClusterShard {
     }
 }
 
-/// A cluster-local phase of one simulated cycle.
-#[derive(Debug, Clone, Copy)]
-pub enum Phase {
-    /// Prebuild warp views ([`ClusterShard::prepare_views`]).
-    Views {
-        /// Current simulated cycle.
-        cycle: u64,
-        /// Scheduler kind is determinism-aware (batch gating applies).
-        det_aware: bool,
-        /// Scheduler kind is SRR (gated batches may not issue at all).
-        srr_like: bool,
-        /// Event engine: skip schedulers whose ready bound lies past
-        /// `cycle` or that `gate` does not admit, instead of building
-        /// views that cannot yield a pick.
-        use_ready_bound: bool,
-        /// The model's issue gate, snapshotted at the top of the phase.
-        gate: IssueGate,
-        /// Partition interleave divisor for footprint accumulation.
-        num_mem_partitions: usize,
-        /// The model's commit-hook mask: footprint accumulation stops
-        /// once the cluster is already blocked under it.
-        hook_mask: HookMask,
-        /// False when no cluster can be admitted this run (full tracing):
-        /// skips footprint accumulation entirely.
-        admit: bool,
-    },
-    /// Rebuild census rows ([`ClusterShard::prepare_census`]).
-    Census {
-        /// Scheduler kind is determinism-aware (`atomic_stuck` counting).
-        det_aware: bool,
-    },
-    /// Run the commit walk inert for shards whose `commit_job` is set
-    /// (admitted independent clusters); a no-op for the rest.
-    Commit,
-}
-
-struct PhaseJob {
-    shard: ClusterShard,
-    phase: Phase,
-}
-
-impl PhaseJob {
-    fn execute(mut self) -> ClusterShard {
-        match self.phase {
-            Phase::Views {
-                cycle,
-                det_aware,
-                srr_like,
-                use_ready_bound,
-                gate,
-                num_mem_partitions,
-                hook_mask,
-                admit,
-            } => self.shard.prepare_views(
-                cycle,
-                det_aware,
-                srr_like,
-                use_ready_bound,
-                gate,
-                num_mem_partitions,
-                hook_mask,
-                admit,
-            ),
-            Phase::Census { det_aware } => self.shard.prepare_census(det_aware),
-            Phase::Commit => {
-                if let Some(p) = self.shard.commit_job.take() {
-                    let mut sh = commit::Shared::Inert;
-                    let mut out = CommitOut::default();
-                    commit::commit_cluster(&mut self.shard, &p, &mut sh, &mut out);
-                    self.shard.commit_out = out;
-                }
-            }
-        }
-        self.shard
-    }
-}
-
-type PhaseResult = Result<ClusterShard, Box<dyn std::any::Any + Send>>;
-
-/// A pool of scoped worker threads that run cluster-local phases.
-///
-/// Shards travel to workers *by ownership* (cluster `i` always goes to
-/// worker `i % threads`) and come back over one shared channel; the engine
-/// reassembles them by shard id, so the result is order-independent.
-/// Dropping the pool closes the job channels, letting the workers exit
-/// before their owning [`std::thread::scope`] joins them.
-#[derive(Debug)]
-pub struct WorkerPool {
-    job_txs: Vec<mpsc::Sender<PhaseJob>>,
-    done_rx: mpsc::Receiver<PhaseResult>,
-}
-
-impl std::fmt::Debug for PhaseJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PhaseJob(cluster {}, {:?})", self.shard.id, self.phase)
-    }
-}
-
-impl WorkerPool {
-    /// Spawns `threads` workers inside `scope`.
-    pub fn start<'scope>(
-        scope: &'scope std::thread::Scope<'scope, '_>,
-        threads: usize,
-    ) -> WorkerPool {
-        assert!(threads > 0, "a pool needs at least one worker");
-        let (done_tx, done_rx) = mpsc::channel::<PhaseResult>();
-        let job_txs = (0..threads)
-            .map(|_| {
-                let (tx, rx) = mpsc::channel::<PhaseJob>();
-                let done = done_tx.clone();
-                scope.spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        // A panic in cluster-local work is forwarded to the
-                        // coordinator (which re-raises it) instead of
-                        // deadlocking the merge that waits for this shard.
-                        let result = catch_unwind(AssertUnwindSafe(|| job.execute()));
-                        if done.send(result).is_err() {
-                            break;
-                        }
-                    }
-                });
-                tx
-            })
-            .collect();
-        WorkerPool { job_txs, done_rx }
-    }
-
-    /// Runs `phase` over every shard in parallel and puts the shards back in
-    /// cluster order. Blocks until all shards return.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises any worker panic on the calling thread.
-    pub fn run_phase(&self, clusters: &mut Vec<ClusterShard>, phase: Phase) {
-        let n = clusters.len();
-        let mut returned: Vec<Option<ClusterShard>> = (0..n).map(|_| None).collect();
-        for shard in clusters.drain(..) {
-            let worker = shard.id % self.job_txs.len();
-            self.job_txs[worker]
-                .send(PhaseJob { shard, phase })
-                .expect("worker alive while pool held");
-        }
-        for _ in 0..n {
-            match self.done_rx.recv().expect("worker alive while pool held") {
-                Ok(shard) => {
-                    let id = shard.id;
-                    debug_assert!(returned[id].is_none(), "shard {id} returned twice");
-                    returned[id] = Some(shard);
-                }
-                Err(payload) => resume_unwind(payload),
-            }
-        }
-        clusters.extend(
-            returned
-                .into_iter()
-                .map(|s| s.expect("every shard returned")),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,11 +376,11 @@ mod tests {
     #[test]
     fn parse_count_rejects_zero_and_garbage() {
         for bad in ["0", "", "abc", "-2", "3.5", "0x8", "O8"] {
-            let err = parse_count("DAB_SIM_THREADS", bad)
+            let err = parse_count("DAB_JOBS", bad)
                 .expect_err("must reject")
                 .to_string();
             assert!(
-                err.contains("DAB_SIM_THREADS") && err.contains("positive integer"),
+                err.contains("DAB_JOBS") && err.contains("positive integer"),
                 "unhelpful error for {bad:?}: {err}"
             );
         }
@@ -688,66 +451,12 @@ mod tests {
     }
 
     #[test]
-    fn pool_round_trips_shards_in_cluster_order() {
-        let cfg = GpuConfig::small();
-        let mut clusters = shards(&cfg);
-        std::thread::scope(|scope| {
-            let pool = WorkerPool::start(scope, 3);
-            for _ in 0..4 {
-                pool.run_phase(
-                    &mut clusters,
-                    Phase::Views {
-                        cycle: 0,
-                        det_aware: false,
-                        srr_like: false,
-                        use_ready_bound: false,
-                        gate: IssueGate::All,
-                        num_mem_partitions: 1,
-                        hook_mask: HookMask::EMPTY,
-                        admit: true,
-                    },
-                );
-                pool.run_phase(&mut clusters, Phase::Census { det_aware: false });
-            }
-        });
-        assert_eq!(clusters.len(), cfg.num_clusters);
-        for (i, shard) in clusters.iter().enumerate() {
-            assert_eq!(shard.id, i, "shards must come back in cluster order");
-            assert!(shard.census.iter().all(|r| r.live == 0));
-        }
-    }
-
-    #[test]
-    fn pool_forwards_worker_panics() {
-        let cfg = GpuConfig::tiny();
-        let mut clusters = shards(&cfg);
-        // An undersized census slice makes `census_into` panic on a worker.
-        clusters[1].census.clear();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            std::thread::scope(|scope| {
-                let pool = WorkerPool::start(scope, 2);
-                pool.run_phase(&mut clusters, Phase::Census { det_aware: false });
-            });
-        }));
-        assert!(result.is_err(), "worker panic must reach the coordinator");
-    }
-
-    #[test]
     fn dirty_flags_cleared_by_prepare() {
         let cfg = GpuConfig::tiny();
         let mut shard = shards(&cfg).remove(0);
         shard.mark_dirty(0);
         assert!(shard.is_dirty(0));
-        shard.prepare_views(
-            0,
-            false,
-            false,
-            false,
-            IssueGate::All,
-            1,
-            HookMask::EMPTY,
-            true,
-        );
+        shard.prepare_views(0, false, false, false, IssueGate::All);
         assert!(!shard.is_dirty(0));
     }
 

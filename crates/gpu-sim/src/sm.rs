@@ -505,9 +505,8 @@ impl Sm {
     ///
     /// This is a pure read of SM-local state — no interconnect, lock, or
     /// execution-model inputs — which is what lets the engine prebuild views
-    /// for many clusters on worker threads. Model issue gating
-    /// (`ExecutionModel::can_issue`) is layered on by the engine afterwards,
-    /// on the coordinating thread.
+    /// ahead of the commit walk. Model issue gating
+    /// (`ExecutionModel::can_issue`) is layered on by the commit walk.
     pub fn build_views(
         &self,
         sched: usize,
@@ -568,10 +567,8 @@ impl Sm {
     /// Writes one [`SchedCensus`] row per scheduler into `out`.
     ///
     /// Like [`build_views`](Self::build_views) this reads (and, through
-    /// `note_atomic_pending`, updates) only SM-local scheduler state, so the
-    /// engine may run it for different clusters on different worker threads;
-    /// rows land at fixed indices, so the merged census is identical to the
-    /// serial engine's.
+    /// `note_atomic_pending`, updates) only SM-local scheduler state, so each
+    /// cluster's rows build independently and land at fixed indices.
     ///
     /// # Panics
     ///

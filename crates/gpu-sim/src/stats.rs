@@ -7,11 +7,10 @@
 //! [`counters`](SimStats::counters) map so models can define their own
 //! categories without widening this struct.
 //!
-//! Under `DAB_SIM_THREADS` the engine accumulates issue-path counters into
-//! per-cluster shard copies and folds them into the run total with
+//! The engine accumulates issue-path counters into per-cluster shard copies
+//! and folds them into the run total with
 //! [`merge_shard`](SimStats::merge_shard) in cluster-index order at the
-//! end of the run, so the reported statistics are bit-identical at any
-//! thread count.
+//! end of the run.
 //!
 //! # Counter namespaces
 //!

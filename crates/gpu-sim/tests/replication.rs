@@ -7,8 +7,7 @@
 //! `NdetSource` seed. Every lane's `RunReport` — final cycle, memory
 //! digest, per-kernel cycle breakdown, and the *full* statistics set
 //! including the `det.engine.*` activity counters — must be byte-identical to
-//! its solo counterpart, at every combination of lane count (1 and 4) and
-//! `sim_threads` (1 and 4).
+//! its solo counterpart, at lane counts 1 and 4.
 //!
 //! Unlike the engine-equivalence suite, nothing is stripped from the
 //! stats: a batched lane shares only immutable per-kernel statics with its
@@ -114,12 +113,6 @@ fn build_grid(raw: RawGrid) -> KernelGrid {
     KernelGrid::new("random", ctas)
 }
 
-fn cfg_with_threads(threads: usize) -> GpuConfig {
-    let mut cfg = GpuConfig::tiny();
-    cfg.sim_threads = threads;
-    cfg
-}
-
 /// Everything a `RunReport` determines, rendered comparable. No stats are
 /// stripped: batching must be invisible even to activity counters.
 fn fingerprint(r: &gpu_sim::RunReport) -> (u64, u64, String, String) {
@@ -132,9 +125,9 @@ fn fingerprint(r: &gpu_sim::RunReport) -> (u64, u64, String, String) {
 }
 
 /// Runs one seed solo and returns its fingerprint.
-fn run_solo(grid: &KernelGrid, threads: usize, seed: u64) -> (u64, u64, String, String) {
+fn run_solo(grid: &KernelGrid, seed: u64) -> (u64, u64, String, String) {
     let sim = GpuSim::new(
-        cfg_with_threads(threads),
+        GpuConfig::tiny(),
         Box::new(BaselineModel::new()),
         NdetSource::seeded(seed),
     );
@@ -157,28 +150,26 @@ proptest! {
     ) {
         let grid = build_grid(raw);
         let kernels = vec![grid];
-        for threads in [1usize, 4] {
-            for lane_count in [1usize, 4] {
-                let lane_seeds = &seeds[..lane_count];
-                let lanes: Vec<GpuSim> = lane_seeds
-                    .iter()
-                    .map(|&s| {
-                        GpuSim::new(
-                            cfg_with_threads(threads),
-                            Box::new(BaselineModel::new()),
-                            NdetSource::seeded(s),
-                        )
-                    })
-                    .collect();
-                let reports = GpuSim::run_replicated(lanes, &kernels);
-                prop_assert_eq!(reports.len(), lane_count);
-                for (report, &seed) in reports.iter().zip(lane_seeds) {
-                    prop_assert_eq!(
-                        fingerprint(report),
-                        run_solo(&kernels[0], threads, seed),
-                        "lanes={}, threads={}, seed={}", lane_count, threads, seed
-                    );
-                }
+        for lane_count in [1usize, 4] {
+            let lane_seeds = &seeds[..lane_count];
+            let lanes: Vec<GpuSim> = lane_seeds
+                .iter()
+                .map(|&s| {
+                    GpuSim::new(
+                        GpuConfig::tiny(),
+                        Box::new(BaselineModel::new()),
+                        NdetSource::seeded(s),
+                    )
+                })
+                .collect();
+            let reports = GpuSim::run_replicated(lanes, &kernels);
+            prop_assert_eq!(reports.len(), lane_count);
+            for (report, &seed) in reports.iter().zip(lane_seeds) {
+                prop_assert_eq!(
+                    fingerprint(report),
+                    run_solo(&kernels[0], seed),
+                    "lanes={}, seed={}", lane_count, seed
+                );
             }
         }
     }
@@ -200,7 +191,7 @@ fn duplicate_seeds_produce_identical_lanes() {
     let lanes: Vec<GpuSim> = (0..3)
         .map(|_| {
             GpuSim::new(
-                cfg_with_threads(1),
+                GpuConfig::tiny(),
                 Box::new(BaselineModel::new()),
                 NdetSource::seeded(7),
             )

@@ -13,9 +13,8 @@
 //! # Determinism contract
 //!
 //! Every event in the `[arch]` section and every row of the `[samples]`
-//! section is recorded **in commit order on the coordinating thread**, so a
-//! trace of a given run is byte-identical at any `DAB_SIM_THREADS` and for
-//! the dense and event engines alike. Engine-variant data (cycle-skip
+//! section is recorded **in commit order**, so a trace of a given run is
+//! byte-identical for the dense and event engines alike. Engine-variant data (cycle-skip
 //! spans) lives in the separate `[engine]` section, mirroring the
 //! `det.engine.*` statistics counters that the equivalence jobs strip: the
 //! bisector compares `[arch]` + `[samples]` by default and touches
@@ -24,7 +23,7 @@
 //! # Environment knobs
 //!
 //! * `DAB_TRACE` — `off` (default) | `summary` | `full`. Parsed strictly:
-//!   anything else panics naming the variable, like `DAB_SIM_THREADS`.
+//!   anything else panics naming the variable, like `DAB_ENGINE`.
 //! * `DAB_TRACE_SAMPLE` — sampling grid interval in cycles (default 1024,
 //!   must be a positive integer).
 //! * `DAB_TRACE_DIR` — when set, bench runners write one `<label>.trace`
@@ -203,9 +202,43 @@ pub fn trace_dir_from_env() -> Option<std::path::PathBuf> {
     }
 }
 
+/// Renders `s` as a JSON string literal, quotes included: `"` and `\\`
+/// are backslash-escaped, and so is every control character. The one
+/// string escaper shared by every hand-written JSON document in the
+/// workspace.
+pub fn json_str(s: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_str_escapes_quotes_backslashes_and_controls() {
+        assert_eq!(json_str("plain"), "\"plain\"");
+        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(json_str("x\ny\tz\r"), "\"x\\ny\\tz\\r\"");
+        assert_eq!(json_str("\u{1}\u{1f}"), "\"\\u0001\\u001f\"");
+        assert_eq!(json_str("é→"), "\"é→\"");
+    }
 
     #[test]
     fn mode_parse_accepts_exact_tokens() {

@@ -39,14 +39,10 @@ pub enum Phase {
     Responses,
     /// Ticket-lock service.
     Locks,
-    /// Warp-view construction (`prepare_views`, serial or pooled).
+    /// Warp-view construction (`prepare_views`).
     Prepare,
-    /// Commit-phase classification (independence sharding admission).
-    CommitClassify,
-    /// Independence-sharded commits (pool workers or inline inert).
-    CommitParallel,
-    /// Serial engine-backed commits, in cluster order.
-    CommitSerial,
+    /// The commit walk: pick and issue, in cluster order.
+    Commit,
     /// Outbox merge into the interconnect.
     Merge,
     /// CTA dispatch.
@@ -62,7 +58,7 @@ pub enum Phase {
 }
 
 /// Number of [`Phase`] variants (accumulator array size).
-pub const PHASE_COUNT: usize = 15;
+pub const PHASE_COUNT: usize = 13;
 
 /// Every phase, in fixed reporting order.
 pub const ALL_PHASES: [Phase; PHASE_COUNT] = [
@@ -72,9 +68,7 @@ pub const ALL_PHASES: [Phase; PHASE_COUNT] = [
     Phase::Responses,
     Phase::Locks,
     Phase::Prepare,
-    Phase::CommitClassify,
-    Phase::CommitParallel,
-    Phase::CommitSerial,
+    Phase::Commit,
     Phase::Merge,
     Phase::Dispatch,
     Phase::ModelTick,
@@ -94,9 +88,7 @@ impl Phase {
             Phase::Responses => "engine;mem;responses",
             Phase::Locks => "engine;locks",
             Phase::Prepare => "engine;issue;prepare",
-            Phase::CommitClassify => "engine;issue;commit;classify",
-            Phase::CommitParallel => "engine;issue;commit;parallel",
-            Phase::CommitSerial => "engine;issue;commit;serial",
+            Phase::Commit => "engine;issue;commit",
             Phase::Merge => "engine;merge",
             Phase::Dispatch => "engine;dispatch",
             Phase::ModelTick => "engine;model;tick",
@@ -116,9 +108,7 @@ impl Phase {
             Phase::Responses => "wall.profile.mem_responses",
             Phase::Locks => "wall.profile.locks",
             Phase::Prepare => "wall.profile.issue_prepare",
-            Phase::CommitClassify => "wall.profile.commit_classify",
-            Phase::CommitParallel => "wall.profile.commit_parallel",
-            Phase::CommitSerial => "wall.profile.commit_serial",
+            Phase::Commit => "wall.profile.issue_commit",
             Phase::Merge => "wall.profile.merge",
             Phase::Dispatch => "wall.profile.dispatch",
             Phase::ModelTick => "wall.profile.model_tick",
@@ -297,7 +287,7 @@ mod tests {
         let mut prof = PhaseProfile::new();
         prof.record(Phase::Prepare, Duration::from_micros(30));
         prof.record(Phase::Prepare, Duration::from_micros(12));
-        prof.record(Phase::CommitSerial, Duration::from_micros(100));
+        prof.record(Phase::Commit, Duration::from_micros(100));
         assert_eq!(prof.count(Phase::Prepare), 2);
         assert_eq!(prof.total(Phase::Prepare), Duration::from_micros(42));
         assert_eq!(prof.grand_total(), Duration::from_micros(142));

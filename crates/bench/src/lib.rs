@@ -23,8 +23,7 @@ mod sweep;
 
 pub use results::ResultsSink;
 pub use sweep::{
-    jobs_from_env, progress_from_env, JobId, Sweep, SweepJob, SweepResults, SweepRun, JOBS_VAR,
-    PROGRESS_VAR,
+    jobs_from_env, JobId, Sweep, SweepJob, SweepResults, SweepRun, JOBS_VAR, PROGRESS_VAR,
 };
 
 use dab::{DabConfig, DabModel};
@@ -35,6 +34,10 @@ use gpu_sim::exec::{BaselineModel, ExecutionModel};
 use gpu_sim::kernel::KernelGrid;
 use gpu_sim::ndet::NdetSource;
 use gpudet::{GpuDetConfig, GpuDetModel};
+
+/// Environment variable silencing the per-run progress lines on stderr
+/// (`DAB_QUIET=1`).
+pub const QUIET_VAR: &str = "DAB_QUIET";
 
 /// Shared experiment context: scale, machine, seed.
 #[derive(Debug, Clone)]
@@ -50,7 +53,7 @@ pub struct Runner {
 
 impl Runner {
     /// Builds a runner from the environment (`DAB_SCALE`, `DAB_ENGINE`,
-    /// `DAB_TRACE`, `DAB_TRACE_SAMPLE`, `DAB_PROFILE`).
+    /// `DAB_TRACE`, `DAB_TRACE_SAMPLE`, `DAB_PROFILE`, `DAB_QUIET`).
     ///
     /// # Panics
     ///
@@ -58,7 +61,8 @@ impl Runner {
     /// ([`REMOVED_VARS`](gpu_sim::par::REMOVED_VARS)) is set, `DAB_ENGINE` to anything but
     /// `dense`/`event`, `DAB_TRACE` to anything but
     /// `off`/`summary`/`full`, `DAB_TRACE_SAMPLE` to anything but a
-    /// positive integer, or `DAB_PROFILE` to anything but `0`/`1`.
+    /// positive integer, or `DAB_PROFILE` or `DAB_QUIET` to anything but
+    /// `0`/`1`.
     pub fn from_env() -> Self {
         gpu_sim::par::reject_removed_vars();
         let scale = Scale::from_env();
@@ -66,12 +70,12 @@ impl Runner {
         gpu.engine = gpu_sim::par::engine_from_env();
         gpu.trace = obs::trace_mode_from_env();
         gpu.trace_sample_interval = obs::sample_interval_from_env();
-        gpu.profile = obs::profile_from_env();
+        gpu.profile = obs::flag_from_env(obs::profile::PROFILE_VAR);
         Self {
             gpu,
             scale,
             seed: 1,
-            verbose: std::env::var("DAB_QUIET").is_err(),
+            verbose: !obs::flag_from_env(QUIET_VAR),
         }
     }
 

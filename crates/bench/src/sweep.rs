@@ -13,18 +13,12 @@
 //! tests that must not race on the environment use
 //! [`Runner::run_many_with_workers`] / [`Sweep::run_with_workers`].
 //! `DAB_PROGRESS=1` adds a per-job heartbeat line (completion count and a
-//! linear ETA) so long sweeps are observable from CI logs. Each simulation
-//! runs on one thread, so `DAB_JOBS` is the only way to run in parallel.
+//! linear ETA) so long sweeps are observable from CI logs.
 //!
-//! With `DAB_REPLICATIONS=N` (default 1) the sweep additionally *lowers*
-//! seed-only-differing job groups — same kernel slice, same
-//! [`replication_key`](ExecutionModel::replication_key) — into one
-//! replication-batched pass of up to `N` lanes
-//! ([`GpuSim::run_replicated`]): per-kernel shared state is built once and
-//! every lane reuses it, while each job still gets its own effective seed
-//! and a per-seed [`RunReport`] bit-identical to its solo run. Jobs whose
-//! model opts out of batching (`replication_key() == None`), and whole
-//! sweeps with tracing enabled, fall back to solo passes.
+//! Every job is its own [`GpuSim::run`] on one thread, with its own
+//! effective seed, so `DAB_JOBS` is the only way to run in parallel. A seed
+//! sweep is therefore just more jobs: the paper's determinism checks re-run
+//! one kernel under many seeds, and each seed is an independent job.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -46,26 +40,6 @@ pub const JOBS_VAR: &str = "DAB_JOBS";
 /// (`DAB_PROGRESS=1`): one line per completed job with the running
 /// completion count and an ETA for the rest of the sweep.
 pub const PROGRESS_VAR: &str = "DAB_PROGRESS";
-
-/// Resolves the sweep progress heartbeat: `DAB_PROGRESS=1` turns it on,
-/// `0` or unset leaves it off.
-///
-/// # Panics
-///
-/// Panics when `DAB_PROGRESS` is set to anything other than `0` or `1` —
-/// a typo'd value must stop the run, not silently disable the heartbeat
-/// someone asked for.
-pub fn progress_from_env() -> bool {
-    match std::env::var(PROGRESS_VAR) {
-        Ok(raw) => match raw.as_str() {
-            "1" => true,
-            "0" => false,
-            other => panic!("{PROGRESS_VAR} must be `0` or `1`, got {other:?}"),
-        },
-        Err(std::env::VarError::NotPresent) => false,
-        Err(e) => panic!("{PROGRESS_VAR} is not valid unicode: {e}"),
-    }
-}
 
 /// Formats one progress heartbeat line: completion count, the job that
 /// just finished (with its own wall time), sweep elapsed, and a linear
@@ -329,124 +303,67 @@ impl<'k> Sweep<'k> {
 
 impl Runner {
     /// Runs `jobs` in parallel (`DAB_JOBS` workers, default available
-    /// parallelism; `DAB_REPLICATIONS` lanes per batched pass), returning
-    /// reports in submission order.
+    /// parallelism), returning reports in submission order.
     pub fn run_many(&self, jobs: Vec<SweepJob<'_>>) -> Vec<SweepRun> {
         let workers = jobs_from_env().min(jobs.len().max(1));
         self.run_many_with_workers(jobs, workers)
     }
 
-    /// Runs `jobs` on exactly `workers` scoped threads, with the
-    /// replication-lane count taken from `DAB_REPLICATIONS`.
-    pub fn run_many_with_workers(&self, jobs: Vec<SweepJob<'_>>, workers: usize) -> Vec<SweepRun> {
-        self.run_many_batched(jobs, workers, gpu_sim::par::replications_from_env())
-    }
-
-    /// Runs `jobs` on exactly `workers` scoped threads with an explicit
-    /// replication-lane cap (`replications <= 1` disables batching).
+    /// Runs `jobs` on exactly `workers` scoped threads.
     ///
-    /// Workers claim *execution units* — a solo job, or a seed-only-
-    /// differing group lowered to one replicated pass (see `plan_units`)
-    /// — from a shared index and deposit each report into the slot matching
-    /// its submission position, so the returned order — and therefore
-    /// everything derived from it — is independent of scheduling. Each
-    /// job's report is deterministic for its effective seed and
-    /// bit-identical whether it ran solo or as a replication lane, so
-    /// results are invariant to `workers` *and* `replications`.
-    pub fn run_many_batched(
-        &self,
-        jobs: Vec<SweepJob<'_>>,
-        workers: usize,
-        replications: usize,
-    ) -> Vec<SweepRun> {
+    /// Workers claim jobs in submission order from a shared queue and
+    /// deposit each report into the slot matching its submission position,
+    /// so the returned order — and therefore everything derived from it —
+    /// is independent of scheduling. Each job's report is deterministic for
+    /// its effective seed, so results are invariant to `workers`.
+    pub fn run_many_with_workers(&self, jobs: Vec<SweepJob<'_>>, workers: usize) -> Vec<SweepRun> {
         let total = jobs.len();
-        let units = plan_units(&jobs, replications, self.gpu.trace.enabled());
-        let workers = workers.max(1).min(units.len().max(1));
-        let next = AtomicUsize::new(0);
-        let progress = progress_from_env();
+        let workers = workers.max(1).min(total.max(1));
+        let progress = obs::flag_from_env(PROGRESS_VAR);
         let done = AtomicUsize::new(0);
         let sweep_started = Instant::now();
-        let job_slots: Vec<Mutex<Option<SweepJob<'_>>>> =
-            jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+        let queue = Mutex::new(jobs.into_iter().enumerate());
         let result_slots: Vec<Mutex<Option<SweepRun>>> =
             (0..total).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    let u = next.fetch_add(1, Ordering::Relaxed);
-                    if u >= units.len() {
+                    let Some((i, job)) = queue.lock().expect("sweep queue poisoned").next() else {
                         break;
-                    }
-                    let claimed: Vec<(usize, SweepJob<'_>)> = units[u]
-                        .iter()
-                        .map(|&i| {
-                            (
-                                i,
-                                job_slots[i]
-                                    .lock()
-                                    .expect("sweep slot poisoned")
-                                    .take()
-                                    .expect("sweep job claimed twice"),
-                            )
-                        })
-                        .collect();
-                    let kernels = claimed[0].1.kernels;
-                    let started = Instant::now();
-                    // Every lane's effective seed is resolved per job — an
-                    // explicit `.with_seed` override and the runner default
-                    // never mix within one lane.
-                    let mut idxs = Vec::with_capacity(claimed.len());
-                    let mut labels = Vec::with_capacity(claimed.len());
-                    let mut seeds = Vec::with_capacity(claimed.len());
-                    let lanes: Vec<GpuSim> = claimed
-                        .into_iter()
-                        .map(|(i, job)| {
-                            let seed = job.seed.unwrap_or(self.seed);
-                            idxs.push(i);
-                            labels.push(job.label);
-                            seeds.push(seed);
-                            GpuSim::new(self.gpu.clone(), job.model, NdetSource::seeded(seed))
-                        })
-                        .collect();
-                    let reports = if lanes.len() == 1 {
-                        vec![lanes.into_iter().next().expect("one lane").run(kernels)]
-                    } else {
-                        GpuSim::run_replicated(lanes, kernels)
                     };
+                    let started = Instant::now();
+                    let seed = job.seed.unwrap_or(self.seed);
+                    let report = GpuSim::new(self.gpu.clone(), job.model, NdetSource::seeded(seed))
+                        .run(job.kernels);
                     let elapsed = started.elapsed();
-                    for ((i, label), (seed, report)) in idxs
-                        .into_iter()
-                        .zip(labels)
-                        .zip(seeds.into_iter().zip(reports))
-                    {
-                        if self.verbose {
-                            eprintln!(
-                                "    [{:>3}/{total} {label}] {} cycles, {:.1?}",
-                                i + 1,
-                                report.cycles(),
-                                elapsed
-                            );
-                        }
-                        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        if progress {
-                            eprintln!(
-                                "{}",
-                                progress_line(
-                                    finished,
-                                    total,
-                                    &label,
-                                    elapsed,
-                                    sweep_started.elapsed()
-                                )
-                            );
-                        }
-                        crate::maybe_write_trace(&label, &report);
-                        *result_slots[i].lock().expect("sweep slot poisoned") = Some(SweepRun {
-                            label,
-                            seed,
-                            report,
-                        });
+                    let label = job.label;
+                    if self.verbose {
+                        eprintln!(
+                            "    [{:>3}/{total} {label}] {} cycles, {:.1?}",
+                            i + 1,
+                            report.cycles(),
+                            elapsed
+                        );
                     }
+                    let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+                    if progress {
+                        eprintln!(
+                            "{}",
+                            progress_line(
+                                finished,
+                                total,
+                                &label,
+                                elapsed,
+                                sweep_started.elapsed()
+                            )
+                        );
+                    }
+                    crate::maybe_write_trace(&label, &report);
+                    *result_slots[i].lock().expect("sweep slot poisoned") = Some(SweepRun {
+                        label,
+                        seed,
+                        report,
+                    });
                 });
             }
         });
@@ -459,45 +376,6 @@ impl Runner {
             })
             .collect()
     }
-}
-
-/// Groups submitted jobs into execution units: each inner vec holds the
-/// submission indices of one unit — a single solo job, or up to
-/// `replications` jobs lowered to one replication-batched pass.
-///
-/// Jobs batch together only when they run the *same kernel slice* (pointer
-/// identity — labels and seeds are irrelevant) and their models return the
-/// same [`replication_key`](ExecutionModel::replication_key); per the trait
-/// contract, equal keys mean the lanes can differ only in timing seed.
-/// `None`-keyed models always run solo, as does everything when
-/// `replications <= 1` or tracing is on (a replicated pass cannot produce
-/// per-job traces).
-fn plan_units(jobs: &[SweepJob<'_>], replications: usize, trace_on: bool) -> Vec<Vec<usize>> {
-    if replications <= 1 || trace_on {
-        return (0..jobs.len()).map(|i| vec![i]).collect();
-    }
-    let mut units: Vec<Vec<usize>> = Vec::new();
-    // Per distinct (kernel identity, model key): the still-fillable unit.
-    let mut open: Vec<((usize, usize, String), usize)> = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
-        let Some(model_key) = job.model.replication_key() else {
-            units.push(vec![i]);
-            continue;
-        };
-        let key = (job.kernels.as_ptr() as usize, job.kernels.len(), model_key);
-        match open.iter_mut().find(|(k, _)| *k == key) {
-            Some(entry) if units[entry.1].len() < replications => units[entry.1].push(i),
-            Some(entry) => {
-                units.push(vec![i]);
-                entry.1 = units.len() - 1;
-            }
-            None => {
-                units.push(vec![i]);
-                open.push((key, units.len() - 1));
-            }
-        }
-    }
-    units
 }
 
 #[cfg(test)]
@@ -554,106 +432,32 @@ mod tests {
         assert_eq!(res.workers, 1);
     }
 
-    fn fingerprint(run: &SweepRun) -> (String, u64, u64, u64, String) {
-        (
-            run.label.clone(),
-            run.seed,
-            run.report.cycles(),
-            run.report.digest(),
-            format!("{:?}", run.report.stats),
-        )
-    }
-
     #[test]
-    fn batched_sweep_matches_solo_per_job() {
-        let r = tiny_runner();
-        let grid = vec![atomic_sum_grid(96, 0x2000_0000)];
-        let other = vec![atomic_sum_grid(64, 0x3000_0000)];
-        let jobs = || {
-            vec![
-                SweepJob::new("s1", Box::new(BaselineModel::new()), &grid).with_seed(1),
-                SweepJob::new("s2", Box::new(BaselineModel::new()), &grid).with_seed(2),
-                // Different kernel slice: must not join the group above.
-                SweepJob::new("other", Box::new(BaselineModel::new()), &other).with_seed(1),
-                SweepJob::new("s3", Box::new(BaselineModel::new()), &grid).with_seed(3),
-            ]
-        };
-        let solo: Vec<_> = r
-            .run_many_batched(jobs(), 2, 1)
-            .iter()
-            .map(fingerprint)
-            .collect();
-        let batched: Vec<_> = r
-            .run_many_batched(jobs(), 2, 4)
-            .iter()
-            .map(fingerprint)
-            .collect();
-        assert_eq!(solo, batched);
-    }
-
-    #[test]
-    fn mixed_seed_overrides_use_effective_seeds_in_batches() {
-        // Regression (satellite: `with_seed` audit): a batch mixing
-        // seed-overridden jobs with jobs inheriting the runner seed must
-        // resolve each lane's effective seed independently.
+    fn mixed_seed_overrides_use_effective_seeds() {
+        // A sweep mixing seed-overridden jobs with jobs inheriting the
+        // runner seed must resolve each job's effective seed independently.
         let mut r = tiny_runner();
         r.seed = 5;
         let grid = vec![atomic_sum_grid(96, 0x2000_0000)];
-        let jobs = || {
-            vec![
-                SweepJob::new("override7", Box::new(BaselineModel::new()), &grid).with_seed(7),
-                SweepJob::new("inherit", Box::new(BaselineModel::new()), &grid),
-                SweepJob::new("override5", Box::new(BaselineModel::new()), &grid).with_seed(5),
-            ]
-        };
-        let batched = r.run_many_batched(jobs(), 1, 4);
+        let jobs = vec![
+            SweepJob::new("override7", Box::new(BaselineModel::new()), &grid).with_seed(7),
+            SweepJob::new("inherit", Box::new(BaselineModel::new()), &grid),
+            SweepJob::new("override5", Box::new(BaselineModel::new()), &grid).with_seed(5),
+        ];
+        let runs = r.run_many_with_workers(jobs, 2);
         assert_eq!(
-            batched.iter().map(|x| x.seed).collect::<Vec<_>>(),
+            runs.iter().map(|x| x.seed).collect::<Vec<_>>(),
             vec![7, 5, 5]
         );
-        // The inheriting lane is bit-identical to the explicit seed-5 lane
-        // and to its own solo run.
-        assert_eq!(batched[1].report.digest(), batched[2].report.digest());
-        assert_eq!(batched[1].report.cycles(), batched[2].report.cycles());
-        let solo = r.run_many_batched(jobs(), 1, 1);
-        for (b, s) in batched.iter().zip(&solo) {
-            assert_eq!(fingerprint(b), fingerprint(s));
-        }
-    }
-
-    #[test]
-    fn plan_units_groups_by_kernels_and_model_key() {
-        // A model that opts out of replication batching.
-        #[derive(Debug)]
-        struct Opaque;
-        impl ExecutionModel for Opaque {
-            fn name(&self) -> String {
-                "opaque".to_string()
-            }
-        }
-        let grid_a = vec![atomic_sum_grid(64, 0x2000_0000)];
-        let grid_b = vec![atomic_sum_grid(64, 0x2000_0000)];
-        let jobs = vec![
-            SweepJob::new("a0", Box::new(BaselineModel::new()), &grid_a),
-            SweepJob::new("b0", Box::new(BaselineModel::new()), &grid_b),
-            SweepJob::new("a1", Box::new(BaselineModel::new()), &grid_a),
-            SweepJob::new("opaque", Box::new(Opaque), &grid_a),
-            SweepJob::new("a2", Box::new(BaselineModel::new()), &grid_a),
-        ];
-        // Identical kernel *content* but distinct slices stay separate;
-        // None-keyed models stay solo; groups cap at `replications`.
-        assert_eq!(
-            plan_units(&jobs, 2, false),
-            vec![vec![0, 2], vec![1], vec![3], vec![4]]
-        );
-        assert_eq!(
-            plan_units(&jobs, 4, false),
-            vec![vec![0, 2, 4], vec![1], vec![3]]
-        );
-        // Tracing or replications<=1 force the solo plan.
-        let solo: Vec<Vec<usize>> = (0..jobs.len()).map(|i| vec![i]).collect();
-        assert_eq!(plan_units(&jobs, 4, true), solo);
-        assert_eq!(plan_units(&jobs, 1, false), solo);
+        // The inheriting run is bit-identical to the explicit seed-5 run.
+        let fingerprint = |run: &SweepRun| {
+            (
+                run.report.cycles(),
+                run.report.digest(),
+                format!("{:?}", run.report.stats),
+            )
+        };
+        assert_eq!(fingerprint(&runs[1]), fingerprint(&runs[2]));
     }
 
     #[test]
@@ -678,20 +482,5 @@ mod tests {
             Duration::from_secs(12),
         );
         assert!(last.contains("eta 0.0ns"), "{last}");
-    }
-
-    #[test]
-    fn plan_units_overflow_chunks_stay_ordered() {
-        let grid = vec![atomic_sum_grid(64, 0x2000_0000)];
-        let jobs: Vec<SweepJob<'_>> = (0..5)
-            .map(|i| {
-                SweepJob::new(format!("s{i}"), Box::new(BaselineModel::new()), &grid)
-                    .with_seed(i as u64)
-            })
-            .collect();
-        assert_eq!(
-            plan_units(&jobs, 2, false),
-            vec![vec![0, 1], vec![2, 3], vec![4]]
-        );
     }
 }

@@ -3,7 +3,8 @@
 //! `DAB_JOBS` used to fall back to a default when unparseable, silently
 //! turning a typo'd parallel run into a serial one. These tests pin the
 //! strict behavior: garbage or zero panics with a message naming the
-//! variable and the offending value. A variable that was removed
+//! variable and the offending value; so does a `0`/`1` switch
+//! (`DAB_QUIET`) holding anything else. A variable that was removed
 //! (`gpu_sim::par::REMOVED_VARS`) panics too, so an old script line does
 //! not silently get a different run.
 //!
@@ -12,7 +13,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use dab_bench::{jobs_from_env, JOBS_VAR};
+use dab_bench::{jobs_from_env, JOBS_VAR, QUIET_VAR};
 use gpu_sim::par::REMOVED_VARS;
 
 /// Serializes the tests in this file: they all mutate process-global
@@ -57,6 +58,30 @@ fn invalid_worker_counts_panic_with_context() {
     match saved_jobs {
         Some(v) => std::env::set_var(JOBS_VAR, v),
         None => std::env::remove_var(JOBS_VAR),
+    }
+}
+
+#[test]
+fn invalid_quiet_flag_stops_the_runner() {
+    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let saved = std::env::var_os(QUIET_VAR);
+
+    std::env::set_var(QUIET_VAR, "garbage");
+    let msg = panic_message(dab_bench::Runner::from_env)
+        .unwrap_or_else(|| panic!("DAB_QUIET=\"garbage\" must stop the runner"));
+    assert!(
+        msg.contains(QUIET_VAR) && msg.contains("\"garbage\""),
+        "unhelpful DAB_QUIET error: {msg}"
+    );
+    // Both switch positions are accepted.
+    for ok in ["0", " 1 "] {
+        std::env::set_var(QUIET_VAR, ok);
+        let _ = dab_bench::Runner::from_env();
+    }
+
+    match saved {
+        Some(v) => std::env::set_var(QUIET_VAR, v),
+        None => std::env::remove_var(QUIET_VAR),
     }
 }
 

@@ -529,13 +529,6 @@ impl ExecutionModel for DabModel {
         format!("dab-{}", self.dab.label())
     }
 
-    fn replication_key(&self) -> Option<String> {
-        // `DabConfig`'s Debug form covers every behavior-affecting knob
-        // (buffer geometry, flush policy, scheduler, active SMs), so equal
-        // keys guarantee lane-identical behavior per the trait contract.
-        Some(format!("dab/{:?}", self.dab))
-    }
-
     fn scheduler_kind(&self) -> SchedKind {
         self.dab.scheduler
     }

@@ -93,11 +93,11 @@ impl RunReport {
     }
 }
 
-/// Seed-invariant, per-kernel shared state: everything a batched run
-/// computes once and shares read-only across replication lanes, because it
-/// is a pure function of the trace IR and the machine geometry — never of
-/// the timing seed. The solo path uses the identical tables (built once per
-/// kernel), so both paths execute the same issue code on the same data.
+/// Seed-invariant, per-kernel state: unique-id bases, lock-ticket
+/// prescans and per-instruction metadata. It is a pure function of the
+/// trace IR and the machine geometry, never of the timing seed, so
+/// [`GpuSim::run`] builds it once per kernel and the dispatcher and issue
+/// path read it through an `Arc`.
 #[derive(Debug)]
 pub struct KernelStatics {
     /// Deterministic unique-id base per CTA.
@@ -334,11 +334,6 @@ fn pkt_kind(payload: &Payload) -> obs::PacketKind {
 /// Cycles of engine inactivity after which the engine declares deadlock.
 const DEADLOCK_HORIZON: u64 = 5_000_000;
 
-/// Cycles a replication lane runs per pick before the laggard re-selects.
-/// Large enough to amortize swapping lane working sets through the host
-/// caches, small enough that lanes still advance in rough lockstep.
-const REPLICATION_BURST: u64 = 4096;
-
 /// The span profiler times one engine step out of this many and scales
 /// the sampled durations back up (see [`GpuSim::prof_start`]): with ~15
 /// span boundaries per step and monotonic-clock reads costing hundreds of
@@ -528,100 +523,8 @@ impl GpuSim {
         self.finish_report(kernel_cycles, started)
     }
 
-    /// Runs `kernels` on a bank of replication lanes in one batched pass,
-    /// returning one report per lane, in lane order.
-    ///
-    /// Every lane must share lane 0's configuration; per-lane state is only
-    /// what the timing seed can touch (ndet streams, DRAM/latency state,
-    /// interconnect arbitration, statistics). Unique-id bases, lock-ticket
-    /// prescans, and per-instruction metadata ([`KernelStatics`]) are
-    /// computed once per kernel and shared read-only. Lanes tick
-    /// independently inside one interleaved loop — each step advances the
-    /// laggard lane (lowest cycle, then lowest index), and each lane's
-    /// event wheel keeps folding its own next-event hints exactly as in a
-    /// solo run — so every lane's report is bit-identical to what a solo
-    /// [`run`](Self::run) with the same seed would produce (`wall` and
-    /// derived throughput excepted, as always).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lanes` is empty or a lane's configuration differs from
-    /// lane 0's. With more than one lane, also panics when tracing
-    /// (`DAB_TRACE`) is enabled — a batched run would interleave the lanes'
-    /// traces — or when a lane carries a schedule oracle (record/replay
-    /// needs a single lane's decision log); run such jobs solo.
-    pub fn run_replicated(mut lanes: Vec<GpuSim>, kernels: &[KernelGrid]) -> Vec<RunReport> {
-        assert!(!lanes.is_empty(), "run_replicated needs at least one lane");
-        for (i, lane) in lanes.iter().enumerate().skip(1) {
-            assert!(
-                lane.cfg == lanes[0].cfg,
-                "replication lane {i} was built with a different GpuConfig than lane 0"
-            );
-        }
-        if lanes.len() > 1 {
-            assert!(
-                lanes.iter().all(|l| l.tracer.is_none()),
-                "DAB_TRACE is unsupported with more than one replication lane \
-                 ({} lanes would interleave one trace stream); set \
-                 DAB_REPLICATIONS=1 for traced runs",
-                lanes.len()
-            );
-            assert!(
-                lanes.iter().all(|l| !l.ndet.has_oracle()),
-                "schedule record/replay is unsupported with more than one \
-                 replication lane (the decision log must reflect a single \
-                 lane's schedule); set DAB_REPLICATIONS=1"
-            );
-        }
-        let started = std::time::Instant::now();
-        let n = lanes.len();
-        let event = lanes[0].cfg.engine == EngineKind::Event;
-        let mut kernel_cycles: Vec<Vec<(String, u64)>> =
-            (0..n).map(|_| Vec::with_capacity(kernels.len())).collect();
-        for grid in kernels {
-            // Shared once across every lane of this kernel.
-            let statics = KernelStatics::build(&lanes[0].cfg, grid);
-            let starts: Vec<u64> = lanes.iter().map(|l| l.cycle).collect();
-            let mut dispatchers: Vec<Dispatcher> = lanes
-                .iter_mut()
-                .map(|l| l.begin_kernel(grid, &statics))
-                .collect();
-            let mut live: Vec<usize> = (0..n).collect();
-            while !live.is_empty() {
-                // Step the laggard lane; ties break toward the lowest
-                // index. The interleaving is deterministic, though lanes
-                // share no mutable state, so any order gives the same
-                // per-lane results. Each pick runs a bounded burst of
-                // cycles rather than a single one: a lane's working set
-                // (caches, queues, warp contexts) is far larger than the
-                // few bytes the laggard choice reads, so per-cycle
-                // rotation would evict every lane's state on every step.
-                let i = *live
-                    .iter()
-                    .min_by_key(|&&i| (lanes[i].cycle, i))
-                    .expect("live lanes");
-                for _ in 0..REPLICATION_BURST {
-                    if lanes[i].kernel_step(grid, &mut dispatchers[i], event) {
-                        live.retain(|&l| l != i);
-                        break;
-                    }
-                }
-            }
-            for (i, lane) in lanes.iter_mut().enumerate() {
-                lane.end_kernel();
-                kernel_cycles[i].push((grid.name.clone(), lane.cycle - starts[i]));
-            }
-        }
-        lanes
-            .into_iter()
-            .zip(kernel_cycles)
-            .map(|(lane, kc)| lane.finish_report(kc, started))
-            .collect()
-    }
-
     /// Folds shard, partition, and activity counters into the final stats
-    /// and consumes the simulator into its [`RunReport`]. Shared verbatim
-    /// by the solo and replicated paths.
+    /// and consumes the simulator into its [`RunReport`].
     fn finish_report(
         mut self,
         kernel_cycles: Vec<(String, u64)>,
@@ -713,8 +616,7 @@ impl GpuSim {
 
     /// Runs one iteration of the per-cycle loop; returns `true` when the
     /// kernel is complete, *without* advancing past the completion cycle
-    /// (exactly the solo loop's `break`). Replication lanes step through
-    /// here independently.
+    /// (the loop in [`run_kernel`](Self::run_kernel) breaks on it).
     fn kernel_step(&mut self, grid: &KernelGrid, dispatcher: &mut Dispatcher, event: bool) -> bool {
         if self.profile.is_some() {
             self.prof_sample = self
@@ -2121,91 +2023,5 @@ mod tests {
         sim.merge_outboxes();
         assert!(sim.clusters[0].outbox.is_empty());
         assert!(sim.icnt.is_busy(), "merged packet now rides the icnt");
-    }
-
-    #[test]
-    fn replicated_lanes_match_solo_runs_per_seed() {
-        // Order-sensitive f32 reductions so seeds genuinely diverge, two
-        // kernels so the inter-kernel boundary is exercised.
-        let kernels = || vec![sum_grid(16, 32, 0x200), sum_grid(8, 32, 0x300)];
-        let mk = |seed: u64| {
-            GpuSim::new(
-                GpuConfig::tiny(),
-                Box::new(BaselineModel::new()),
-                NdetSource::seeded(seed),
-            )
-        };
-        let fingerprint = |r: &RunReport| {
-            (
-                r.cycles(),
-                r.digest(),
-                format!("{:?}", r.stats),
-                r.kernel_cycles.clone(),
-            )
-        };
-        let seeds = [1u64, 2, 3, 4];
-        let solo: Vec<_> = seeds
-            .iter()
-            .map(|&seed| fingerprint(&mk(seed).run(&kernels())))
-            .collect();
-        let lanes: Vec<GpuSim> = seeds.iter().map(|&seed| mk(seed)).collect();
-        let batched = GpuSim::run_replicated(lanes, &kernels());
-        assert_eq!(batched.len(), seeds.len());
-        for (i, (r, want)) in batched.iter().zip(&solo).enumerate() {
-            assert_eq!(&fingerprint(r), want, "lane {i} (seed {})", seeds[i]);
-        }
-    }
-
-    #[test]
-    fn replicated_single_lane_matches_run() {
-        let mk = || {
-            GpuSim::new(
-                GpuConfig::tiny(),
-                Box::new(BaselineModel::new()),
-                NdetSource::seeded(9),
-            )
-        };
-        let solo = mk().run(&[sum_grid(8, 32, 0x100)]);
-        let batched = GpuSim::run_replicated(vec![mk()], &[sum_grid(8, 32, 0x100)]);
-        assert_eq!(batched.len(), 1);
-        assert_eq!(batched[0].cycles(), solo.cycles());
-        assert_eq!(batched[0].digest(), solo.digest());
-        assert_eq!(
-            format!("{:?}", batched[0].stats),
-            format!("{:?}", solo.stats)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "different GpuConfig")]
-    fn replicated_lanes_reject_mixed_configs() {
-        let lanes = vec![
-            GpuSim::new(
-                GpuConfig::tiny(),
-                Box::new(BaselineModel::new()),
-                NdetSource::seeded(0),
-            ),
-            GpuSim::new(
-                GpuConfig::small(),
-                Box::new(BaselineModel::new()),
-                NdetSource::seeded(1),
-            ),
-        ];
-        let _ = GpuSim::run_replicated(lanes, &[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "DAB_TRACE is unsupported")]
-    fn replicated_lanes_reject_tracing() {
-        let mk = |seed| {
-            let mut cfg = GpuConfig::tiny();
-            cfg.trace = obs::TraceMode::Summary;
-            GpuSim::new(
-                cfg,
-                Box::new(BaselineModel::new()),
-                NdetSource::seeded(seed),
-            )
-        };
-        let _ = GpuSim::run_replicated(vec![mk(0), mk(1)], &[]);
     }
 }

@@ -5,12 +5,9 @@
 //! sorted, deduplicated sector list of a load/store and the per-sector
 //! coalescing groups (plus flit totals) of an atomic. None of that depends
 //! on the timing seed — it is a function of the instruction and the machine
-//! geometry only — so the replication-batched engine
-//! ([`GpuSim::run_replicated`](crate::engine::GpuSim::run_replicated))
-//! computes it once per kernel and shares it read-only across every
-//! replication lane. The solo engine uses the identical tables (built once
-//! per run), which also removes the per-attempt recomputation from the hot
-//! loop; both paths therefore execute the same issue code on the same data.
+//! geometry only — so the engine computes it once per kernel
+//! ([`KernelStatics`](crate::engine::KernelStatics)), which removes the
+//! per-attempt recomputation from the hot loop.
 //!
 //! Tables are keyed per [`WarpProgram`](crate::isa::WarpProgram): [`warp_meta`] produces one
 //! [`InstrMeta`] per instruction, resolved into each warp's context at CTA

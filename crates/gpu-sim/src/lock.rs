@@ -67,12 +67,10 @@ pub struct LockManager {
 /// that will ever arrive at each lock address, sorted ascending.
 ///
 /// The expected-ticket sets are a pure function of the kernel's warp
-/// programs and deterministic warp ids — never of the timing seed — so a
-/// replication-batched run builds one `LockPrescan` per kernel and installs
-/// it into every lane's [`LockManager`] with
-/// [`install_prescan`](LockManager::install_prescan) (a cheap clone of the
-/// sorted vectors) instead of re-walking every program per lane. The solo
-/// engine uses the same path, so both produce bit-identical lock state.
+/// programs and deterministic warp ids — never of the timing seed — so the
+/// engine builds one `LockPrescan` per kernel, alongside the other
+/// per-kernel statics, and installs it into the [`LockManager`] with
+/// [`install_prescan`](LockManager::install_prescan).
 #[derive(Debug, Default, Clone)]
 pub struct LockPrescan {
     /// Per lock address: the full expected ticket set, ascending. Sorted by

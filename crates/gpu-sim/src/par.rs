@@ -10,10 +10,10 @@
 //! outbox into the interconnect — in cluster-index order on the simulating
 //! thread (see DESIGN.md, "Per-cluster staging and the merge point").
 //!
-//! The module also owns the strict parsing of the `DAB_JOBS` /
-//! `DAB_REPLICATIONS` count environment variables and of the `DAB_ENGINE`
-//! cycle-loop selector: an unparseable value is an operator error and is
-//! rejected loudly instead of silently falling back to a default.
+//! The module also owns the strict parsing of the `DAB_JOBS` count
+//! environment variable and of the `DAB_ENGINE` cycle-loop selector: an
+//! unparseable value is an operator error and is rejected loudly instead
+//! of silently falling back to a default.
 
 use std::collections::VecDeque;
 
@@ -27,11 +27,6 @@ use crate::stats::SimStats;
 /// Environment variable selecting the cycle-loop implementation
 /// (`dense` or `event`; see [`EngineKind`]).
 pub const ENGINE_VAR: &str = "DAB_ENGINE";
-
-/// Environment variable selecting the replication-lane count for batched
-/// seed sweeps (see
-/// [`GpuSim::run_replicated`](crate::engine::GpuSim::run_replicated)).
-pub const REPLICATIONS_VAR: &str = "DAB_REPLICATIONS";
 
 /// Error from [`parse_count`]: a worker-count environment variable held
 /// something other than a positive integer.
@@ -88,30 +83,11 @@ pub fn parse_count(var: &str, raw: &str) -> Result<usize, CountError> {
     }
 }
 
-/// Reads `DAB_REPLICATIONS`; absent means `1` (no replication batching:
-/// every sweep job runs its own solo pass).
-///
-/// The same strict-parsing policy as [`parse_count`] applies: a value that
-/// is not a positive integer stops the run.
-///
-/// # Panics
-///
-/// Panics with the [`CountError`] message on an invalid value.
-pub fn replications_from_env() -> usize {
-    match std::env::var(REPLICATIONS_VAR) {
-        Ok(raw) => match parse_count(REPLICATIONS_VAR, &raw) {
-            Ok(n) => n,
-            Err(e) => panic!("{e}"),
-        },
-        Err(std::env::VarError::NotPresent) => 1,
-        Err(e) => panic!("{REPLICATIONS_VAR} is not valid unicode: {e}"),
-    }
-}
-
-/// Environment variables earlier versions read to thread one simulation
-/// and that no code reads any more. [`reject_removed_vars`] refuses them,
-/// so an old script line cannot silently get a different run.
-pub const REMOVED_VARS: [&str; 2] = ["DAB_SIM_THREADS", "DAB_COMMIT_SHARD"];
+/// Environment variables earlier versions read to parallelize or batch
+/// simulations and that no code reads any more. [`reject_removed_vars`]
+/// refuses them, so an old script line cannot silently get a different
+/// run.
+pub const REMOVED_VARS: [&str; 3] = ["DAB_SIM_THREADS", "DAB_COMMIT_SHARD", "DAB_REPLICATIONS"];
 
 /// Panics if any of [`REMOVED_VARS`] is set, to any value.
 ///
@@ -125,8 +101,8 @@ pub fn reject_removed_vars() {
         .find(|var| std::env::var_os(var).is_some())
     {
         panic!(
-            "{var} was removed: one simulation always runs on one thread; \
-             unset it, and use DAB_JOBS to run sweep jobs in parallel"
+            "{var} was removed; unset it — sweep jobs run in parallel only \
+             through DAB_JOBS, one simulation per thread"
         );
     }
 }
@@ -390,23 +366,6 @@ mod tests {
     fn count_error_reports_the_offending_value() {
         let err = parse_count("DAB_JOBS", "many").expect_err("must reject");
         assert!(err.to_string().contains("\"many\""));
-    }
-
-    #[test]
-    fn replications_parse_under_the_same_strict_policy() {
-        // `replications_from_env` goes through `parse_count` with the
-        // `DAB_REPLICATIONS` name; exercise the named path without touching
-        // process-global env state.
-        assert_eq!(parse_count(REPLICATIONS_VAR, " 8 "), Ok(8));
-        for bad in ["0", "", "four", "-1", "1.5"] {
-            let err = parse_count(REPLICATIONS_VAR, bad)
-                .expect_err("must reject")
-                .to_string();
-            assert!(
-                err.contains("DAB_REPLICATIONS") && err.contains("positive integer"),
-                "unhelpful error for {bad:?}: {err}"
-            );
-        }
     }
 
     fn load_pkt(flit_size: usize) -> Packet {

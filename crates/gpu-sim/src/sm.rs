@@ -60,7 +60,7 @@ pub struct WarpCtx {
     pub program: Arc<WarpProgram>,
     /// Precomputed seed-invariant per-instruction metadata (sector lists,
     /// atomic coalescing groups), parallel to `program.instrs`. Shared
-    /// read-only across replication lanes in a batched run.
+    /// read-only by every warp running the same program.
     pub meta: Arc<WarpMeta>,
     /// Next instruction index.
     pub pc: usize,

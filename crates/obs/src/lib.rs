@@ -45,7 +45,7 @@ pub use event::{
 };
 pub use filter::TraceFilter;
 pub use metrics::{HistSpec, MetricClass, MetricsRegistry};
-pub use profile::{profile_from_env, Phase, PhaseProfile};
+pub use profile::{Phase, PhaseProfile};
 pub use trace::{ParseError, Trace, Tracer};
 
 use std::fmt;
@@ -202,6 +202,38 @@ pub fn trace_dir_from_env() -> Option<std::path::PathBuf> {
     }
 }
 
+/// Strictly parses a `0`/`1` switch value for `var` (`DAB_PROFILE`,
+/// `DAB_PROGRESS`, `DAB_QUIET`): whitespace-trimmed `0` is off and `1` is
+/// on.
+///
+/// # Errors
+///
+/// Anything else is an error naming `var`, mirroring the other `DAB_*`
+/// knobs.
+pub fn parse_flag(var: &str, raw: &str) -> Result<bool, String> {
+    match raw.trim() {
+        "0" => Ok(false),
+        "1" => Ok(true),
+        other => Err(format!(
+            "{var} must be \"0\" or \"1\", got {other:?}; unset it to leave it off"
+        )),
+    }
+}
+
+/// Reads the `0`/`1` switch `var` from the environment; absent means off.
+///
+/// # Panics
+///
+/// Panics with the [`parse_flag`] message on any other value: a typo must
+/// stop the run, not silently flip the switch.
+pub fn flag_from_env(var: &str) -> bool {
+    match std::env::var(var) {
+        Ok(raw) => parse_flag(var, &raw).unwrap_or_else(|e| panic!("{e}")),
+        Err(std::env::VarError::NotPresent) => false,
+        Err(e) => panic!("{var} is not valid unicode: {e}"),
+    }
+}
+
 /// Renders `s` as a JSON string literal, quotes included: `"` and `\\`
 /// are backslash-escaped, and so is every control character. The one
 /// string escaper shared by every hand-written JSON document in the
@@ -238,6 +270,16 @@ mod tests {
         assert_eq!(json_str("x\ny\tz\r"), "\"x\\ny\\tz\\r\"");
         assert_eq!(json_str("\u{1}\u{1f}"), "\"\\u0001\\u001f\"");
         assert_eq!(json_str("é→"), "\"é→\"");
+    }
+
+    #[test]
+    fn flag_parse_accepts_only_zero_and_one() {
+        assert_eq!(parse_flag("DAB_QUIET", "0"), Ok(false));
+        assert_eq!(parse_flag("DAB_QUIET", " 1\n"), Ok(true));
+        for bad in ["", "on", "true", "2", "garbage"] {
+            let err = parse_flag("DAB_QUIET", bad).unwrap_err();
+            assert!(err.contains("DAB_QUIET"), "{err}");
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! anyway (escapes, nested containers, exponent floats) so a future
 //! schema change cannot silently truncate a comparison.
 //!
+//! Strings render through the workspace's one escaper, `obs::json_str`.
+//!
 //! Objects preserve insertion order (`Vec` of pairs, not a map): reports
 //! print metrics in the order the producing tool wrote them.
 
@@ -90,7 +92,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(x) => out.push_str(&render_num(*x)),
-            Json::Str(s) => render_str(s, out),
+            Json::Str(s) => out.push_str(&obs::json_str(s)),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -107,7 +109,7 @@ impl Json {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    render_str(k, out);
+                    out.push_str(&obs::json_str(k));
                     out.push_str(": ");
                     v.render_into(out);
                 }
@@ -128,24 +130,6 @@ fn render_num(x: f64) -> String {
     } else {
         format!("{x}")
     }
-}
-
-fn render_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {

@@ -1,9 +1,10 @@
 //! Hot-loop comparison of the dense and activity-driven event engine
-//! cores (`DAB_ENGINE=dense|event`) on three idle-heavy workloads: the
-//! single-cell atomic-reduction microbenchmark and a small BC graph trace
-//! under DAB, and a smaller single-cell reduction under GPUDet, whose
-//! serialized atomics and commit phases the event engine parks through
-//! the model's issue gate.
+//! cores (`DAB_ENGINE=dense|event`) on four workloads: the single-cell
+//! atomic-reduction microbenchmark and a small BC graph trace under DAB,
+//! a smaller single-cell reduction under GPUDet, whose serialized atomics
+//! and commit phases the event engine parks through the model's issue
+//! gate, and the Table III `cnv2_3` convolution layer under GPUDet, a
+//! paper workload whose host time goes to parallel-mode issue.
 //!
 //! Each engine × workload combination runs its model end to end under
 //! the vendored criterion harness, and the event engine additionally runs
@@ -30,6 +31,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dab::{DabConfig, DabModel};
 use dab_bench::geomean;
 use dab_workloads::bc::bc_trace;
+use dab_workloads::conv::{conv_trace, layer_by_name};
 use dab_workloads::graph::Graph;
 use dab_workloads::microbench::{atomic_sum_grid, OUTPUT_ADDR};
 use dab_workloads::scale::Scale;
@@ -105,12 +107,14 @@ fn run_profiled(engine: EngineKind, model: Model, kernels: &[KernelGrid]) -> Run
     GpuSim::new(cfg, model, NdetSource::seeded(1)).run(kernels)
 }
 
-/// The three hot-loop workloads: a serialized atomic reduction under DAB
+/// The four hot-loop workloads: a serialized atomic reduction under DAB
 /// (every warp hammers one cell, so most SM cycles are response waits), a
 /// BC trace on a small uniform graph under DAB (bursty atomics with long
-/// drain phases), and a smaller single-cell reduction under GPUDet (serial
+/// drain phases), a smaller single-cell reduction under GPUDet (serial
 /// mode: one warp's atomic in flight at a time, every other scheduler
-/// gated shut).
+/// gated shut), and the `cnv2_3` convolution layer under GPUDet at CI
+/// scale (the Fig. 10 run: quanta of loads that mostly wait on MSHRs,
+/// gated per warp by the model).
 fn workloads() -> Vec<(&'static str, Model, Vec<KernelGrid>)> {
     let atomic = vec![atomic_sum_grid(65536, OUTPUT_ADDR)];
     let graph = Graph::uniform(96, 256, 7);
@@ -118,10 +122,13 @@ fn workloads() -> Vec<(&'static str, Model, Vec<KernelGrid>)> {
     // GPUDet serializes every warp's atomic across the whole GPU, so 64k
     // elements would make its dense oracle runs dominate the benchmark.
     let gpudet_atomic = vec![atomic_sum_grid(8192, OUTPUT_ADDR)];
+    let cnv2_3 = layer_by_name("cnv2_3").expect("Table III layer cnv2_3");
+    let gpudet_conv = vec![conv_trace(&cnv2_3, Scale::Ci)];
     vec![
         ("atomic_sum_64k", Model::Dab, atomic),
         ("bc_uniform_96", Model::Dab, bc),
         ("gpudet_atomic_sum_8k", Model::GpuDet, gpudet_atomic),
+        ("gpudet_cnv2_3", Model::GpuDet, gpudet_conv),
     ]
 }
 

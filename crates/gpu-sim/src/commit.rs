@@ -263,20 +263,21 @@ impl Cx<'_, '_> {
                 {
                     continue;
                 }
+                // Borrow the row's view buffer for the visit and hand it
+                // back afterwards, so its allocation is reused every cycle.
                 let row = local * self.p.num_sched + sched;
-                let (mut views, agg_bound) = if self.shard.is_dirty(local) {
+                let mut views = std::mem::take(&mut self.shard.views[row]);
+                let agg_bound = if self.shard.is_dirty(local) {
                     self.out.scheduler_scans += 1;
                     self.shard.sms[local].build_views(
                         sched,
                         cycle,
                         self.p.det_aware,
                         self.p.srr_like,
+                        &mut views,
                     )
                 } else {
-                    (
-                        std::mem::take(&mut self.shard.views[row]),
-                        self.shard.view_bounds[row],
-                    )
+                    self.shard.view_bounds[row]
                 };
                 if event {
                     // Re-arm before the pick: wakes triggered by this
@@ -305,6 +306,7 @@ impl Cx<'_, '_> {
                         sm.note_slot_bound(slot, self.p.det_aware, self.p.srr_like);
                     }
                 }
+                self.shard.views[row] = views;
             }
         }
     }
@@ -488,11 +490,14 @@ impl Cx<'_, '_> {
         }
     }
 
+    /// Issues a load: probes L1 for each precomputed sector, then requests
+    /// the misses. A load refused for MSHR or interconnect space probes
+    /// again on its retry, so every attempt updates the L1's LRU state and
+    /// access counters.
     fn issue_load(&mut self, local: usize, slot: usize, sectors: &[u64]) -> bool {
-        let cycle = self.p.cycle;
-        let sm_idx = self.global_sm(local);
-        // Probe L1 for each precomputed sector.
-        let mut missing: Vec<u64> = Vec::new();
+        // The misses go into the shard's reused sector buffer.
+        let mut missing = std::mem::take(&mut self.shard.missing_sectors);
+        missing.clear();
         {
             let shard = &mut *self.shard;
             let sm = &mut shard.sms[local];
@@ -507,6 +512,17 @@ impl Cx<'_, '_> {
                 }
             }
         }
+        let issued = self.request_misses(local, slot, &missing);
+        self.shard.missing_sectors = missing;
+        issued
+    }
+
+    /// The part of [`issue_load`](Self::issue_load) after the L1 probe:
+    /// completes an all-hit load, or reserves MSHRs and stages a request
+    /// for every sector no MSHR tracks yet.
+    fn request_misses(&mut self, local: usize, slot: usize, missing: &[u64]) -> bool {
+        let cycle = self.p.cycle;
+        let sm_idx = self.global_sm(local);
         if missing.is_empty() {
             let l1_hit_latency = self.p.l1_hit_latency as u64;
             let w = self.shard.sms[local].warps[slot]
@@ -518,22 +534,21 @@ impl Cx<'_, '_> {
         }
         // Structural checks: MSHR space for new sectors, interconnect room.
         let sm = &self.shard.sms[local];
-        let new_sectors: Vec<u64> = missing
+        let new_sectors = missing
             .iter()
-            .copied()
             .filter(|s| !sm.l1_mshrs.contains_key(s))
-            .collect();
-        if sm.l1_mshrs.len() + new_sectors.len() > sm.l1_mshr_capacity {
+            .count();
+        if sm.l1_mshrs.len() + new_sectors > sm.l1_mshr_capacity {
             self.shard.stats.bump("det.stall.l1_mshr", 1);
             return false;
         }
-        let flits_needed = new_sectors.len() as u32;
+        let flits_needed = new_sectors as u32;
         if !self.can_send(flits_needed) {
             self.shard.stats.icnt_stall_cycles += 1;
             return false;
         }
         let warp_ref = WarpRef { sm: sm_idx, slot };
-        for &s in &missing {
+        for &s in missing {
             let is_new = {
                 let sm = &mut self.shard.sms[local];
                 let is_new = !sm.l1_mshrs.contains_key(&s);

@@ -227,6 +227,8 @@ pub struct ClusterShard {
     /// The cluster's SMs, locally indexed (`global = id * per_cluster + i`).
     pub sms: Vec<Sm>,
     /// Prebuilt warp views, indexed `local_sm * num_schedulers + sched`.
+    /// Each row is a buffer reused across cycles: prepare refills it and
+    /// the commit walk borrows it for the scheduler's visit.
     pub views: Vec<Vec<WarpView>>,
     /// Aggregate timer bound per scheduler row (same indexing as `views`),
     /// valid for rows whose views were built this cycle: the exact
@@ -239,6 +241,9 @@ pub struct ClusterShard {
     /// Issue-path statistics, accumulated per shard and merged into the
     /// global [`SimStats`] in cluster-index order at the end of a run.
     pub stats: SimStats,
+    /// Scratch buffer for a load's L1-missing sectors, reused by every
+    /// load the commit walk issues.
+    pub missing_sectors: Vec<u64>,
     /// Per-local-SM flag: a barrier release during commit mutated warps of
     /// other schedulers on that SM, so its remaining prebuilt views are
     /// stale and must be rebuilt serially.
@@ -257,6 +262,7 @@ impl ClusterShard {
             census: vec![SchedCensus::default(); rows],
             outbox: PacketOutbox::default(),
             stats: SimStats::default(),
+            missing_sectors: Vec::new(),
             dirty: vec![false; sms.len()],
             num_schedulers,
             sms,
@@ -297,14 +303,12 @@ impl ClusterShard {
                     || (use_ready_bound
                         && (sm.schedulers[sched].ready_bound > cycle
                             || !gate.admits(sm.id, sched)));
-                if parked {
-                    views[row] = Vec::new();
-                    view_bounds[row] = u64::MAX;
+                view_bounds[row] = if parked {
+                    views[row].clear();
+                    u64::MAX
                 } else {
-                    let (v, bound) = sm.build_views(sched, cycle, det_aware, srr_like);
-                    views[row] = v;
-                    view_bounds[row] = bound;
-                }
+                    sm.build_views(sched, cycle, det_aware, srr_like, &mut views[row])
+                };
             }
         }
     }

@@ -302,24 +302,14 @@ impl Sm {
         if self.resident_threads + cta.num_threads() > self.max_threads {
             return false;
         }
-        // Each warp w of the CTA goes to scheduler w % S; count free slots
-        // per scheduler.
-        let mut needed = vec![0usize; self.num_schedulers];
-        for (w, _) in cta.warps.iter().enumerate() {
-            needed[w % self.num_schedulers] += 1;
-        }
-        for (sched, &need) in needed.iter().enumerate() {
-            let free = self
-                .warps
-                .iter()
-                .enumerate()
-                .filter(|(slot, w)| slot % self.num_schedulers == sched && w.is_none())
-                .count();
-            if free < need {
-                return false;
-            }
-        }
-        true
+        // Each warp w of the CTA goes to scheduler w % S, so scheduler s
+        // receives n / S warps, plus one for the first n % S schedulers.
+        // A scheduler's free slots are its width minus its live warps.
+        let (n, s) = (cta.warps.len(), self.num_schedulers);
+        self.schedulers.iter().enumerate().all(|(sched, sctx)| {
+            let need = n / s + usize::from(sched < n % s);
+            sctx.width - sctx.live as usize >= need
+        })
     }
 
     /// Places a CTA onto the SM; returns the slots used.
@@ -416,7 +406,7 @@ impl Sm {
 
     /// Number of live warps on the SM.
     pub fn live_warps(&self) -> usize {
-        self.warps.iter().filter(|w| w.is_some()).count()
+        self.schedulers.iter().map(|s| s.live as usize).sum()
     }
 
     /// Earliest `next_ready` among issuable warps, for fast-forwarding.
@@ -492,16 +482,18 @@ impl Sm {
             .unwrap_or(u64::MAX)
     }
 
-    /// Builds scheduler `sched`'s warp views for `cycle`, sorted by unique
-    /// id, applying batch gating (`det_aware`; under SRR — `srr_like` — a
-    /// gated batch may not issue anything, elsewhere only its atomics are
-    /// held). Returns an empty vector when no warp is ready pre-gating.
+    /// Rebuilds scheduler `sched`'s warp views for `cycle` into `views`
+    /// (cleared first, so a caller-owned buffer is reused across visits),
+    /// sorted by unique id, applying batch gating (`det_aware`; under SRR —
+    /// `srr_like` — a gated batch may not issue anything, elsewhere only
+    /// its atomics are held). `views` is left empty when no warp is ready
+    /// pre-gating.
     ///
-    /// The second return value is the scheduler's aggregate timer bound:
-    /// the minimum `bound_at` over all live warps (`u64::MAX` when every
-    /// warp waits on an event or the batch gate). It is exact at build
-    /// time, so the event engine can install it directly instead of
-    /// rescanning the warps after the visit.
+    /// Returns the scheduler's aggregate timer bound: the minimum
+    /// `bound_at` over all live warps (`u64::MAX` when every warp waits on
+    /// an event or the batch gate). It is exact at build time, so the
+    /// event engine can install it directly instead of rescanning the
+    /// warps after the visit.
     ///
     /// This is a pure read of SM-local state — no interconnect, lock, or
     /// execution-model inputs — which is what lets the engine prebuild views
@@ -513,9 +505,10 @@ impl Sm {
         cycle: u64,
         det_aware: bool,
         srr_like: bool,
-    ) -> (Vec<WarpView>, u64) {
+        views: &mut Vec<WarpView>,
+    ) -> u64 {
         let sctx = &self.schedulers[sched];
-        let mut views: Vec<WarpView> = Vec::new();
+        views.clear();
         let mut any_ready = false;
         let mut agg_bound = u64::MAX;
         let mut slot = sched;
@@ -557,11 +550,12 @@ impl Sm {
             }
             slot += self.num_schedulers;
         }
-        if !any_ready {
-            return (Vec::new(), agg_bound);
+        if any_ready {
+            views.sort_unstable_by_key(|v| v.unique);
+        } else {
+            views.clear();
         }
-        views.sort_unstable_by_key(|v| v.unique);
-        (views, agg_bound)
+        agg_bound
     }
 
     /// Writes one [`SchedCensus`] row per scheduler into `out`.
@@ -590,20 +584,25 @@ impl Sm {
             // give the policies a chance to account for the pending
             // atomics (GTRR's greedy->round-robin switch), so transient
             // one-cycle refusals are not mistaken for steady ones.
-            let pending: Vec<(usize, u64, u64)> = self
-                .warps
-                .iter()
-                .flatten()
-                .filter(|w| w.state == WarpState::Ready && w.next_is_atomic())
-                .map(|w| (w.sched, w.unique, w.batch))
-                .collect();
-            for &(sc, unique, _) in &pending {
-                self.schedulers[sc].policy.note_atomic_pending(unique);
+            // The second pass runs only when the first found a pending
+            // atomic, which keeps the common nothing-pending census to one
+            // scan.
+            let pending = |w: &WarpCtx| w.state == WarpState::Ready && w.next_is_atomic();
+            let mut any_pending = false;
+            for w in self.warps.iter().flatten().filter(|w| pending(w)) {
+                self.schedulers[w.sched]
+                    .policy
+                    .note_atomic_pending(w.unique);
+                any_pending = true;
             }
-            for &(sc, unique, batch) in &pending {
-                let sched = &self.schedulers[sc];
-                if !sched.batch_may_issue_atomics(batch) || sched.policy.blocks_atomic_of(unique) {
-                    out[sc].atomic_stuck += 1;
+            if any_pending {
+                for w in self.warps.iter().flatten().filter(|w| pending(w)) {
+                    let sched = &self.schedulers[w.sched];
+                    if !sched.batch_may_issue_atomics(w.batch)
+                        || sched.policy.blocks_atomic_of(w.unique)
+                    {
+                        out[w.sched].atomic_stuck += 1;
+                    }
                 }
             }
         }
@@ -696,6 +695,69 @@ mod tests {
         assert!(sm.can_accept(&cta(8, 32)));
     }
 
+    /// The slot-scan admission check `can_accept` replaced: count free
+    /// slots of each scheduler against the CTA's warps per scheduler.
+    fn can_accept_by_slot_scan(sm: &Sm, cta: &CtaSpec) -> bool {
+        let ns = sm.num_schedulers();
+        if sm.resident_ctas >= sm.max_ctas
+            || sm.resident_threads + cta.num_threads() > sm.max_threads
+        {
+            return false;
+        }
+        (0..ns).all(|sched| {
+            let need = (0..cta.warps.len()).filter(|w| w % ns == sched).count();
+            let free = (sched..sm.warps.len())
+                .step_by(ns)
+                .filter(|&slot| sm.warps[slot].is_none())
+                .count();
+            free >= need
+        })
+    }
+
+    #[test]
+    fn can_accept_matches_slot_scan_on_random_placements() {
+        // Deterministic LCG, as in the ready-bound test below.
+        let mut state = 0x1319_8a2e_0370_7344u64;
+        let mut rng = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut sm = sm();
+        let mut unique = 0;
+        for step in 0..2000 {
+            // Warp counts that do and do not divide evenly over the four
+            // schedulers, with few lanes so the warp slots fill before the
+            // thread limit does.
+            let c = cta(1 + rng() as usize % 23, 1 + rng() as usize % 8);
+            let fits = sm.can_accept(&c);
+            assert_eq!(
+                fits,
+                can_accept_by_slot_scan(&sm, &c),
+                "step {step}: can_accept disagrees with the slot scan for a {}-warp CTA",
+                c.warps.len()
+            );
+            if fits && rng() % 3 != 0 {
+                sm.add_cta(&c, unique, 0, &metas_for(&c));
+                unique += c.warps.len() as u64;
+            } else {
+                // Retire a random batch of live warps.
+                for _ in 0..rng() % 12 {
+                    let slot = rng() as usize % sm.warps.len();
+                    if sm.warps[slot].is_some() {
+                        sm.retire_warp(slot, false);
+                    }
+                }
+            }
+            assert_eq!(
+                sm.live_warps(),
+                sm.warps.iter().filter(|w| w.is_some()).count(),
+                "step {step}: live_warps disagrees with the occupied slots"
+            );
+        }
+    }
+
     #[test]
     fn batch_assignment_by_arrival() {
         let mut sched = SchedulerCtx::new(SchedKind::Gwat, 2, 4);
@@ -745,7 +807,8 @@ mod tests {
         let mut sm = sm();
         let c = cta(8, 32);
         sm.add_cta(&c, 0, 0, &metas_for(&c));
-        let (views, bound) = sm.build_views(0, 0, false, false);
+        let mut views = Vec::new();
+        let bound = sm.build_views(0, 0, false, false, &mut views);
         assert_eq!(views.len(), 2, "scheduler 0 owns 2 of the 8 warps");
         assert!(views.windows(2).all(|w| w[0].unique < w[1].unique));
         assert!(views.iter().all(|v| v.ready));
@@ -757,7 +820,9 @@ mod tests {
         for slot in slots {
             sm.warps[slot].as_mut().expect("resident").state = WarpState::WaitMem;
         }
-        let (views, bound) = sm.build_views(0, 0, false, false);
+        // The same buffer is refilled: stale views from the last build
+        // must not survive.
+        let bound = sm.build_views(0, 0, false, false, &mut views);
         assert!(views.is_empty());
         assert_eq!(bound, u64::MAX);
     }
@@ -778,6 +843,7 @@ mod tests {
         let c = cta(8, 32);
         sm.add_cta(&c, 0, 0, &metas_for(&c));
         let ns = sm.num_schedulers();
+        let mut views = Vec::new();
         for step in 0..400u64 {
             let cycle = step;
             // One random warp transition, mirroring an engine site: a park
@@ -805,7 +871,7 @@ mod tests {
             for s in 0..ns {
                 // Between visits the incremental bound is a lower bound...
                 let incremental = sm.schedulers[s].ready_bound;
-                let (_, scanned) = sm.build_views(s, cycle, false, false);
+                let scanned = sm.build_views(s, cycle, false, false, &mut views);
                 assert!(
                     incremental <= scanned,
                     "step {step}: incremental bound {incremental} exceeds                      the scanned bound {scanned} for scheduler {s}"

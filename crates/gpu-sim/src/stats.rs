@@ -46,6 +46,7 @@
 //! assert_eq!(stats.counter("det.dab.flushes"), 3);
 //! ```
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Aggregated statistics from one simulation run.
@@ -143,8 +144,15 @@ impl SimStats {
     /// key, or a `wall.*` key).
     #[track_caller]
     pub fn bump(&mut self, name: &'static str, n: u64) {
-        check_det_key(name);
-        *self.counters.entry(name).or_insert(0) += n;
+        // A key is validated once, when it enters the map; hot counters
+        // bumped every cycle skip the check afterwards.
+        match self.counters.entry(name) {
+            Entry::Occupied(mut e) => *e.get_mut() += n,
+            Entry::Vacant(e) => {
+                check_det_key(name);
+                e.insert(n);
+            }
+        }
     }
 
     /// Reads a named counter (0 if never bumped).
@@ -288,6 +296,16 @@ mod tests {
     #[should_panic(expected = "must live under the det. or wall. namespace")]
     fn legacy_unprefixed_key_panics() {
         SimStats::default().bump("dab.flushes", 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "det.bad key")]
+    fn invalid_key_panics_after_valid_keys_were_bumped() {
+        let mut stats = SimStats::default();
+        stats.bump("det.test.x", 1);
+        stats.bump("det.test.x", 1);
+        stats.bump("det.test.y", 1);
+        stats.bump("det.bad key", 1);
     }
 
     #[test]

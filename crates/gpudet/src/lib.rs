@@ -101,7 +101,9 @@ enum Mode {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct WarpInfo {
-    warp: WarpRef,
+    /// Deterministic kernel-wide id. Every hook checks it, so a hook for a
+    /// warp that already left the slot never touches its successor.
+    unique: u64,
     /// Scheduler owning the warp (the serial-mode issue gate).
     sched: SchedId,
     issued: u32,
@@ -113,20 +115,38 @@ struct WarpInfo {
     at_barrier: bool,
 }
 
+impl WarpInfo {
+    /// The warp cannot issue again before the quantum ends.
+    fn stopped(&self) -> bool {
+        self.done || self.pending_atomic || self.at_barrier
+    }
+}
+
 /// The GPUDet execution model.
 #[derive(Debug)]
 pub struct GpuDetModel {
     cfg: GpuDetConfig,
     num_partitions: usize,
-    /// Live warps keyed by deterministic unique id (the serial-mode order).
-    warps: BTreeMap<u64, WarpInfo>,
+    /// Live warps by hardware slot: entry `sm * max_warps_per_sm + slot`,
+    /// sized once for the whole machine.
+    warps: Vec<Option<WarpInfo>>,
+    max_warps_per_sm: usize,
+    /// Number of occupied `warps` entries.
+    live: usize,
+    /// Live warps that are [`stopped`](WarpInfo::stopped): the quantum is
+    /// complete once every live warp is.
+    stopped: usize,
+    /// Pending-atomic warps, unique id -> table index. The first key is the
+    /// next serial warp, so serial mode runs in unique-id order.
+    pending: BTreeMap<u64, usize>,
     mode: Mode,
     mode_entered: u64,
     /// Store-buffer entries accumulated this quantum (whole GPU).
     store_entries: u64,
     commit_until: u64,
-    /// Serial mode: the unique id currently holding the execution token.
-    serial_current: Option<u64>,
+    /// Serial mode: the table index of the warp holding the execution
+    /// token.
+    serial_current: Option<usize>,
     /// The current serial warp has issued and awaits its last write-back.
     awaiting_ack: bool,
     parallel_cycles: u64,
@@ -152,7 +172,11 @@ impl GpuDetModel {
         Self {
             cfg,
             num_partitions: gpu.num_mem_partitions,
-            warps: BTreeMap::new(),
+            warps: vec![None; gpu.num_sms() * gpu.max_warps_per_sm],
+            max_warps_per_sm: gpu.max_warps_per_sm,
+            live: 0,
+            stopped: 0,
+            pending: BTreeMap::new(),
             mode: Mode::Parallel,
             mode_entered: 0,
             store_entries: 0,
@@ -199,12 +223,53 @@ impl GpuDetModel {
         self.mode = mode;
     }
 
+    /// Table index of the hardware slot `(sm, slot)`.
+    fn index(&self, sm: usize, slot: usize) -> usize {
+        sm * self.max_warps_per_sm + slot
+    }
+
+    /// Table index and entry of `warp`, if it is the warp live in its
+    /// slot.
+    fn find(&self, warp: WarpId) -> Option<(usize, WarpInfo)> {
+        let idx = self.index(warp.sched.sm, warp.slot);
+        self.warps[idx]
+            .filter(|w| w.unique == warp.unique)
+            .map(|w| (idx, w))
+    }
+
+    /// Whether `warp` holds the serial-mode execution token.
+    fn holds_token(&self, warp: WarpId) -> bool {
+        self.serial_current
+            .is_some_and(|cur| self.find(warp).is_some_and(|(idx, _)| idx == cur))
+    }
+
+    /// Applies `f` to the live warp at `idx`, keeping the `stopped` count
+    /// and the pending-atomic index in step with its flags.
+    fn update(&mut self, idx: usize, f: impl FnOnce(&mut WarpInfo)) {
+        let Some(w) = self.warps[idx].as_mut() else {
+            return;
+        };
+        let (was_stopped, was_pending) = (w.stopped(), w.pending_atomic);
+        f(w);
+        let (is_stopped, is_pending, unique) = (w.stopped(), w.pending_atomic, w.unique);
+        match (was_stopped, is_stopped) {
+            (false, true) => self.stopped += 1,
+            (true, false) => self.stopped -= 1,
+            _ => {}
+        }
+        match (was_pending, is_pending) {
+            (false, true) => {
+                self.pending.insert(unique, idx);
+            }
+            (true, false) => {
+                self.pending.remove(&unique);
+            }
+            _ => {}
+        }
+    }
+
     fn quantum_complete(&self) -> bool {
-        !self.warps.is_empty()
-            && self
-                .warps
-                .values()
-                .all(|w| w.done || w.pending_atomic || w.at_barrier)
+        self.live > 0 && self.stopped == self.live
     }
 
     fn commit_duration(&self) -> u64 {
@@ -219,18 +284,18 @@ impl GpuDetModel {
         self.quanta += 1;
     }
 
-    fn next_serial_warp(&self) -> Option<u64> {
-        self.warps
-            .iter()
-            .find(|(_, w)| w.pending_atomic)
-            .map(|(&u, _)| u)
+    /// Table index of the lowest-unique pending-atomic warp.
+    fn next_serial_warp(&self) -> Option<usize> {
+        self.pending.first_key_value().map(|(_, &idx)| idx)
     }
 
     fn start_new_quantum(&mut self, now: u64) {
         self.enter_mode(Mode::Parallel, now);
-        for w in self.warps.values_mut() {
+        self.stopped = 0;
+        for w in self.warps.iter_mut().flatten() {
             w.issued = 0;
             w.done = false;
+            self.stopped += usize::from(w.stopped());
         }
         self.serial_current = None;
         self.awaiting_ack = false;
@@ -264,25 +329,36 @@ impl ExecutionModel for GpuDetModel {
     }
 
     fn on_warp_spawn(&mut self, warp: WarpId) {
-        self.warps.insert(
+        let idx = self.index(warp.sched.sm, warp.slot);
+        debug_assert!(
+            self.warps[idx].is_none(),
+            "warp {} spawned into occupied slot {}:{}",
             warp.unique,
-            WarpInfo {
-                warp: WarpRef {
-                    sm: warp.sched.sm,
-                    slot: warp.slot,
-                },
-                sched: warp.sched,
-                issued: 0,
-                done: false,
-                pending_atomic: false,
-                at_barrier: false,
-            },
+            warp.sched.sm,
+            warp.slot
         );
+        self.warps[idx] = Some(WarpInfo {
+            unique: warp.unique,
+            sched: warp.sched,
+            issued: 0,
+            done: false,
+            pending_atomic: false,
+            at_barrier: false,
+        });
+        self.live += 1;
     }
 
     fn on_warp_exit(&mut self, warp: WarpId) {
-        self.warps.remove(&warp.unique);
-        if self.serial_current == Some(warp.unique) {
+        let Some((idx, w)) = self.find(warp) else {
+            return;
+        };
+        self.warps[idx] = None;
+        self.live -= 1;
+        self.stopped -= usize::from(w.stopped());
+        if w.pending_atomic {
+            self.pending.remove(&w.unique);
+        }
+        if self.serial_current == Some(idx) {
             self.serial_current = None;
             self.awaiting_ack = false;
         }
@@ -291,7 +367,7 @@ impl ExecutionModel for GpuDetModel {
     fn can_issue(&mut self, warp: WarpId, is_atomic: bool, _cycle: u64) -> bool {
         match self.mode {
             Mode::Parallel => {
-                let Some(w) = self.warps.get_mut(&warp.unique) else {
+                let Some((idx, w)) = self.find(warp) else {
                     return false;
                 };
                 if w.done || w.pending_atomic {
@@ -300,7 +376,7 @@ impl ExecutionModel for GpuDetModel {
                 if is_atomic {
                     // Reaching an atomic prematurely ends the quantum; the
                     // atomic itself runs in serial mode.
-                    w.pending_atomic = true;
+                    self.update(idx, |w| w.pending_atomic = true);
                     return false;
                 }
                 w.issued < self.cfg.quantum
@@ -308,7 +384,7 @@ impl ExecutionModel for GpuDetModel {
             Mode::Commit => false,
             Mode::Serial => {
                 // Only the token holder may issue, and only its atomic.
-                is_atomic && self.serial_current == Some(warp.unique) && !self.awaiting_ack
+                is_atomic && !self.awaiting_ack && self.holds_token(warp)
             }
         }
     }
@@ -316,13 +392,15 @@ impl ExecutionModel for GpuDetModel {
     fn on_issue(&mut self, warp: WarpId, is_atomic: bool, _cycle: u64) {
         let mode = self.mode;
         let quantum = self.cfg.quantum;
-        let Some(w) = self.warps.get_mut(&warp.unique) else {
+        let Some((idx, _)) = self.find(warp) else {
             return;
         };
-        w.issued += 1;
-        if w.issued >= quantum && mode == Mode::Parallel {
-            w.done = true;
-        }
+        self.update(idx, |w| {
+            w.issued += 1;
+            if w.issued >= quantum && mode == Mode::Parallel {
+                w.done = true;
+            }
+        });
         if is_atomic && mode == Mode::Serial {
             self.awaiting_ack = true;
         }
@@ -330,7 +408,11 @@ impl ExecutionModel for GpuDetModel {
 
     fn on_atomic(&mut self, issue: AtomicIssue<'_>, _cycle: u64) -> AtomicRoute {
         debug_assert_eq!(self.mode, Mode::Serial, "atomics only issue in serial mode");
-        debug_assert_eq!(self.serial_current, Some(issue.warp.unique));
+        debug_assert!(
+            self.holds_token(issue.warp),
+            "atomic of warp {} issued without the token",
+            issue.warp.unique
+        );
         AtomicRoute::ToMemory
     }
 
@@ -344,8 +426,8 @@ impl ExecutionModel for GpuDetModel {
     }
 
     fn on_barrier_wait(&mut self, warp: WarpId, _cycle: u64) {
-        if let Some(w) = self.warps.get_mut(&warp.unique) {
-            w.at_barrier = true;
+        if let Some((idx, _)) = self.find(warp) {
+            self.update(idx, |w| w.at_barrier = true);
         }
     }
 
@@ -355,9 +437,9 @@ impl ExecutionModel for GpuDetModel {
         warps: &[WarpId],
         _cycle: u64,
     ) -> gpu_sim::exec::BarrierRelease {
-        for id in warps {
-            if let Some(w) = self.warps.get_mut(&id.unique) {
-                w.at_barrier = false;
+        for &id in warps {
+            if let Some((idx, _)) = self.find(id) {
+                self.update(idx, |w| w.at_barrier = false);
             }
         }
         gpu_sim::exec::BarrierRelease::Immediate
@@ -365,17 +447,16 @@ impl ExecutionModel for GpuDetModel {
 
     fn on_atomic_ack(&mut self, warp: WarpRef, _kind: AtomKind, remaining: u32, _cycle: u64) {
         if self.mode == Mode::Serial && self.awaiting_ack && remaining == 0 {
-            if let Some(current) = self.serial_current {
-                if self.warps.get(&current).map(|w| w.warp) == Some(warp) {
-                    // The serial warp's atomic fully retired: its quantum is
-                    // over; pass the token.
-                    if let Some(w) = self.warps.get_mut(&current) {
-                        w.pending_atomic = false;
-                        w.done = true;
-                    }
-                    self.serial_current = None;
-                    self.awaiting_ack = false;
-                }
+            let idx = self.index(warp.sm, warp.slot);
+            if self.serial_current == Some(idx) {
+                // The serial warp's atomic fully retired: its quantum is
+                // over; pass the token.
+                self.update(idx, |w| {
+                    w.pending_atomic = false;
+                    w.done = true;
+                });
+                self.serial_current = None;
+                self.awaiting_ack = false;
             }
         }
     }
@@ -383,7 +464,7 @@ impl ExecutionModel for GpuDetModel {
     fn tick(&mut self, ctx: &mut ModelCtx<'_>) {
         match self.mode {
             Mode::Parallel => {
-                if ctx.kernel_fully_dispatched && self.warps.is_empty() && self.store_entries > 0 {
+                if ctx.kernel_fully_dispatched && self.live == 0 && self.store_entries > 0 {
                     // Kernel drained with uncommitted stores: final commit.
                     self.start_commit(ctx.cycle);
                 } else if self.quantum_complete() {
@@ -456,10 +537,9 @@ impl ExecutionModel for GpuDetModel {
             // Only the token holder may issue, and only until its atomic
             // issues; the next holder is chosen in `tick`.
             Mode::Serial => match self.serial_current {
-                Some(u) if !self.awaiting_ack => self
-                    .warps
-                    .get(&u)
-                    .map_or(IssueGate::Closed, |w| IssueGate::Only(w.sched)),
+                Some(idx) if !self.awaiting_ack => {
+                    self.warps[idx].map_or(IssueGate::Closed, |w| IssueGate::Only(w.sched))
+                }
                 _ => IssueGate::Closed,
             },
         }
@@ -680,6 +760,204 @@ mod tests {
             + report.stats.counter("det.gpudet.serial_cycles");
         assert!(covered > 0);
         assert!(covered <= report.cycles() + 1);
+    }
+
+    /// Checks the slot table's incremental state against brute-force
+    /// recomputations over its live warps. `expected` maps every spawned,
+    /// not yet exited `(sm, slot)` to its unique id.
+    fn check_table(m: &GpuDetModel, expected: &BTreeMap<(usize, usize), u64>, step: usize) {
+        let live: Vec<(usize, WarpInfo)> = m
+            .warps
+            .iter()
+            .enumerate()
+            .filter_map(|(i, w)| w.map(|w| (i, w)))
+            .collect();
+        let want: Vec<(usize, u64)> = expected
+            .iter()
+            .map(|(&(sm, slot), &u)| (m.index(sm, slot), u))
+            .collect();
+        let got: Vec<(usize, u64)> = live.iter().map(|&(i, w)| (i, w.unique)).collect();
+        assert_eq!(got, want, "step {step}: table holds the wrong warps");
+        assert_eq!(m.live, live.len(), "step {step}: live count");
+        let complete = !live.is_empty() && live.iter().all(|(_, w)| w.stopped());
+        assert_eq!(
+            m.quantum_complete(),
+            complete,
+            "step {step}: quantum_complete"
+        );
+        let next = live
+            .iter()
+            .filter(|(_, w)| w.pending_atomic)
+            .min_by_key(|(_, w)| w.unique)
+            .map(|&(i, _)| i);
+        assert_eq!(m.next_serial_warp(), next, "step {step}: next_serial_warp");
+        let holder = m.serial_current.map(|i| {
+            live.iter()
+                .find(|&&(j, _)| j == i)
+                .map(|&(_, w)| w)
+                .unwrap_or_else(|| panic!("step {step}: token holder {i} is not live"))
+        });
+        if let Some(w) = holder {
+            assert!(w.pending_atomic, "step {step}: token holder has no atomic");
+        }
+        let gate = match m.mode {
+            Mode::Parallel => IssueGate::All,
+            Mode::Commit => IssueGate::Closed,
+            Mode::Serial => match holder {
+                Some(w) if !m.awaiting_ack => IssueGate::Only(w.sched),
+                _ => IssueGate::Closed,
+            },
+        };
+        assert_eq!(m.issue_gate(), gate, "step {step}: issue_gate");
+    }
+
+    #[test]
+    fn slot_table_matches_brute_force_under_random_hooks() {
+        // Deterministic LCG: the same hook sequence on every run and host.
+        let mut state = 0x0a40_9382_2299_f31du64;
+        let mut rng = move |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let gpu = GpuConfig::tiny();
+        let ns = gpu.num_schedulers_per_sm;
+        let mut m = GpuDetModel::new(
+            &gpu,
+            GpuDetConfig {
+                quantum: 3,
+                commit_base_cycles: 2,
+                ..GpuDetConfig::default()
+            },
+        );
+        let mut icnt = gpu_sim::mem::icnt::Interconnect::new(&gpu);
+        let mut stats = gpu_sim::stats::SimStats::default();
+        let census = vec![gpu_sim::exec::SchedCensus::default(); gpu.num_sms() * ns];
+        let mut wakes = Vec::new();
+        // Few slots per SM, so exits are soon followed by reuse of the
+        // same slot under a new unique id.
+        let slots = 10;
+        let mut expected: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+        let mut next_unique = 0u64;
+        let mut cycle = 0u64;
+        let id = |(sm, slot): (usize, usize), unique: u64| WarpId {
+            sched: SchedId {
+                sm,
+                sched: slot % ns,
+            },
+            slot,
+            unique,
+        };
+        let mut modes = [0usize; 3];
+        for step in 0..20_000 {
+            // Serial mode only moves when the token holder acts, so aim
+            // half the warp-level hooks at it.
+            let holder = m.serial_current.and_then(|i| {
+                expected
+                    .iter()
+                    .find(|(&(sm, slot), _)| m.index(sm, slot) == i)
+                    .map(|(&k, &u)| (k, u))
+            });
+            let target = match holder {
+                Some(h) if rng(2) == 0 => Some(h),
+                _ if expected.is_empty() => None,
+                _ => expected
+                    .iter()
+                    .nth(rng(expected.len() as u64) as usize)
+                    .map(|(&k, &u)| (k, u)),
+            };
+            match rng(10) {
+                0 => {
+                    let key = (rng(gpu.num_sms() as u64) as usize, rng(slots) as usize);
+                    if let std::collections::btree_map::Entry::Vacant(e) = expected.entry(key) {
+                        // Unique ids arrive out of slot order.
+                        next_unique += 1 + rng(5);
+                        e.insert(next_unique);
+                        m.on_warp_spawn(id(key, next_unique));
+                    }
+                }
+                1 => {
+                    if let Some((key, u)) = target {
+                        m.on_warp_exit(id(key, u));
+                        expected.remove(&key);
+                    }
+                }
+                2 | 3 => {
+                    if let Some((key, u)) = target {
+                        let is_atomic = rng(3) == 0;
+                        if m.can_issue(id(key, u), is_atomic, cycle) {
+                            m.on_issue(id(key, u), is_atomic, cycle);
+                        }
+                    }
+                }
+                4 => {
+                    if let Some((key, u)) = target {
+                        m.on_issue(id(key, u), false, cycle);
+                    }
+                }
+                5 => {
+                    if let Some((key, u)) = target {
+                        m.on_barrier_wait(id(key, u), cycle);
+                    }
+                }
+                6 => {
+                    let waiting: Vec<WarpId> = expected
+                        .iter()
+                        .filter(|&(&(sm, slot), _)| {
+                            m.warps[m.index(sm, slot)].is_some_and(|w| w.at_barrier)
+                        })
+                        .filter(|_| rng(2) == 0)
+                        .map(|(&k, &u)| id(k, u))
+                        .collect();
+                    m.on_barrier_release(0, &waiting, cycle);
+                }
+                7 => {
+                    if let Some(((sm, slot), _)) = target {
+                        let remaining = u32::from(rng(4) == 0);
+                        m.on_atomic_ack(WarpRef { sm, slot }, AtomKind::Red, remaining, cycle);
+                    }
+                }
+                8 => {
+                    // A hook for a warp that already left its slot must
+                    // not touch the slot's new occupant.
+                    if let Some((key, u)) = target {
+                        let before = (m.warps.clone(), m.stopped, m.pending.clone());
+                        let stale = id(key, u + 1_000_000);
+                        m.can_issue(stale, rng(2) == 0, cycle);
+                        m.on_issue(stale, false, cycle);
+                        m.on_barrier_wait(stale, cycle);
+                        m.on_barrier_release(0, &[stale], cycle);
+                        m.on_warp_exit(stale);
+                        assert_eq!(
+                            (m.warps.clone(), m.stopped, m.pending.clone()),
+                            before,
+                            "step {step}: a stale-unique hook changed the table"
+                        );
+                    }
+                }
+                _ => {
+                    cycle += 1 + rng(3);
+                    let mut ctx = ModelCtx::new(
+                        cycle,
+                        &gpu,
+                        &mut icnt,
+                        &mut stats,
+                        &census,
+                        rng(2) == 0,
+                        &mut wakes,
+                    );
+                    m.tick(&mut ctx);
+                }
+            }
+            modes[m.mode as usize] += 1;
+            check_table(&m, &expected, step);
+        }
+        assert!(
+            modes.iter().all(|&n| n > 1000),
+            "every mode must be exercised: {modes:?}"
+        );
+        assert!(m.quanta > 10, "quanta completed: {}", m.quanta);
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! 3. arrived responses wake warps and fill L1s;
 //! 4. the deterministic lock manager serves ticket holders;
 //! 5. every warp scheduler picks and issues one instruction, consulting the
-//!    execution model for gating and atomic routing;
-//! 6. packets staged in per-cluster outboxes merge into the interconnect in
-//!    cluster-index order (the deterministic merge point);
-//! 7. CTAs are dispatched per the model's distribution policy;
-//! 8. the model ticks (flush controllers, quantum state machines) and its
+//!    execution model for gating and atomic routing, in fixed `(SM,
+//!    scheduler)` order; each issued request enters the interconnect as it
+//!    issues (see the `commit` module);
+//! 6. CTAs are dispatched per the model's distribution policy;
+//! 7. the model ticks (flush controllers, quantum state machines) and its
 //!    wake commands are applied.
 //!
 //! A run executes a sequence of [`KernelGrid`]s back to back and returns a
@@ -25,7 +25,8 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use crate::commit::{self, CommitOut, CommitParams, EngineShared};
+mod commit;
+
 use crate::config::{EngineKind, GpuConfig};
 use crate::exec::{ExecutionModel, IssueGate, ModelCtx, SchedCensus, SchedId, WakeCmd, WarpId};
 use crate::imeta::{warp_meta, WarpMeta};
@@ -35,8 +36,7 @@ use crate::mem::icnt::Interconnect;
 use crate::mem::packet::{AtomKind, Payload, WarpRef};
 use crate::mem::partition::MemPartition;
 use crate::ndet::NdetSource;
-use crate::par::ClusterShard;
-use crate::sched::SchedKind;
+use crate::sched::{SchedKind, WarpView};
 use crate::sm::{Sm, WarpState};
 use crate::stats::SimStats;
 use crate::values::ValueMem;
@@ -60,7 +60,7 @@ pub struct RunReport {
     /// `[samples]` sections are byte-identical for either engine; the
     /// `[engine]` section (cycle-skip spans) is engine-variant by design.
     pub trace: Option<obs::Trace>,
-    /// Per-phase host wall-clock breakdown (prepare/commit/merge). Like
+    /// Per-phase host wall-clock breakdown (prepare/commit). Like
     /// [`wall`](Self::wall), a throughput measurement only.
     pub phase_wall: PhaseWall,
     /// Fine-grained engine span profile, present when the run was
@@ -223,15 +223,17 @@ struct ActivityCounters {
 /// Host wall-clock spent inside each engine phase, accumulated across the
 /// whole run. A host measurement like [`RunReport::wall`] — excluded from
 /// every determinism comparison — recorded so perf trajectories can show
-/// *where* a configuration spends its time (view prepare, commit walk,
-/// outbox merge).
+/// *where* a configuration spends its time (view prepare, commit walk).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PhaseWall {
     /// View construction (`prepare_views`).
     pub prepare: std::time::Duration,
-    /// Commit walk.
+    /// Commit walk, including the injection of the packets it issues.
     pub commit: std::time::Duration,
-    /// Outbox merge into the interconnect.
+    /// Always zero. Issued packets enter the interconnect inside the
+    /// commit walk, so there is no separate merge phase left to time. The
+    /// field stays because the reproduction benchmark's driver reads
+    /// [`secs`](Self::secs) as a `(prepare, commit, merge)` triple.
     pub merge: std::time::Duration,
 }
 
@@ -268,15 +270,31 @@ pub struct GpuSim {
     /// memory→cluster direction).
     icnt_cl_ndet: Vec<NdetSource>,
     values: ValueMem,
-    /// Per-cluster shards: the SMs plus their per-cycle scratch (warp
-    /// views, census rows, outbound packet staging).
-    clusters: Vec<ClusterShard>,
+    /// The SMs, in global index order (`cluster * sms_per_cluster + i`).
+    sms: Vec<Sm>,
+    /// Prebuilt warp views, one row per scheduler, indexed
+    /// `sm * num_schedulers_per_sm + sched`. Each row is a buffer reused
+    /// across cycles: prepare refills it and the commit walk borrows it for
+    /// the scheduler's visit.
+    views: Vec<Vec<WarpView>>,
+    /// Aggregate timer bound per scheduler row (same indexing as `views`),
+    /// valid for rows whose views were built this cycle: the exact
+    /// post-visit `ready_bound` to install if the visit issues nothing.
+    view_bounds: Vec<u64>,
+    /// Per-SM flag: a barrier release during commit mutated warps of other
+    /// schedulers on that SM, so its remaining prebuilt views are stale and
+    /// the walk rebuilds them.
+    dirty: Vec<bool>,
+    /// Scratch buffer for a load's L1-missing sectors, reused by every load
+    /// the commit walk issues.
+    missing_sectors: Vec<u64>,
     icnt: Interconnect,
     partitions: Vec<MemPartition>,
     locks: LockManager,
     stats: SimStats,
     cycle: u64,
     wakes: Vec<WakeCmd>,
+    /// Census rows for the model tick, same indexing as `views`.
     census: Vec<SchedCensus>,
     sched_kind: SchedKind,
     last_progress_cycle: u64,
@@ -284,7 +302,7 @@ pub struct GpuSim {
     /// The model's issue gate, snapshotted at the top of each issue phase
     /// and handed to that phase's prepare and commit walks.
     gate: IssueGate,
-    /// Per-phase host wall-clock accumulator (prepare/commit/merge).
+    /// Per-phase host wall-clock accumulator (prepare/commit).
     phase_wall: PhaseWall,
     /// Structured event tracer, `None` when `cfg.trace` is off — the
     /// off-mode fast path is a single pointer null-check per trace site.
@@ -352,19 +370,14 @@ impl GpuSim {
     pub fn new(cfg: GpuConfig, model: Box<dyn ExecutionModel>, ndet: NdetSource) -> Self {
         cfg.validate().expect("invalid GPU configuration");
         let sched_kind = model.scheduler_kind();
-        let clusters = (0..cfg.num_clusters)
-            .map(|c| {
-                let sms = (0..cfg.sms_per_cluster)
-                    .map(|i| Sm::new(c * cfg.sms_per_cluster + i, &cfg, sched_kind))
-                    .collect();
-                ClusterShard::new(c, sms, cfg.num_schedulers_per_sm)
-            })
+        let sms = (0..cfg.num_sms())
+            .map(|id| Sm::new(id, &cfg, sched_kind))
             .collect();
+        let rows = cfg.num_sms() * cfg.num_schedulers_per_sm;
         let dram_jitter = if ndet.is_enabled() { 16 } else { 0 };
         let partitions = (0..cfg.num_mem_partitions)
             .map(|id| MemPartition::new(id, &cfg, dram_jitter))
             .collect();
-        let census = vec![SchedCensus::default(); cfg.num_sms() * cfg.num_schedulers_per_sm];
         // Fixed stream tags keep every endpoint's draw sequence a pure
         // function of the seed.
         let part_ndet = (0..cfg.num_mem_partitions)
@@ -384,13 +397,17 @@ impl GpuSim {
         Self {
             icnt: Interconnect::new(&cfg),
             locks: LockManager::new(&cfg),
-            clusters,
+            sms,
+            views: vec![Vec::new(); rows],
+            view_bounds: vec![u64::MAX; rows],
+            dirty: vec![false; cfg.num_sms()],
+            missing_sectors: Vec::new(),
             partitions,
             values: ValueMem::new(),
             stats: SimStats::default(),
             cycle: 0,
             wakes: Vec::new(),
-            census,
+            census: vec![SchedCensus::default(); rows],
             sched_kind,
             model,
             ndet,
@@ -414,8 +431,8 @@ impl GpuSim {
     }
 
     /// Registers the engine-owned metric families: the `det.engine.*`
-    /// activity counters and `det.obs.*` trace counts, plus the shard-side
-    /// `det.stall.*` issue-stall counters charged by the commit machinery.
+    /// activity counters and `det.obs.*` trace counts, plus the
+    /// `det.stall.*` issue-stall counters charged by the commit walk.
     fn register_engine_metrics(registry: &mut obs::MetricsRegistry) {
         registry.counter(
             "det.engine.cycles_skipped",
@@ -483,21 +500,20 @@ impl GpuSim {
         }
     }
 
-    /// The SM with global index `idx`.
-    fn sm(&self, idx: usize) -> &Sm {
-        let spc = self.cfg.sms_per_cluster;
-        &self.clusters[idx / spc].sms[idx % spc]
+    /// Whether the scheduling policy is determinism-aware (batch gating).
+    fn det_aware(&self) -> bool {
+        self.sched_kind.is_determinism_aware()
     }
 
-    /// Mutable access to the SM with global index `idx`.
-    fn sm_mut(&mut self, idx: usize) -> &mut Sm {
-        let spc = self.cfg.sms_per_cluster;
-        &mut self.clusters[idx / spc].sms[idx % spc]
+    /// Whether the scheduling policy is strict round-robin (SRR gating).
+    fn srr_like(&self) -> bool {
+        self.sched_kind == SchedKind::Srr
     }
 
-    /// Iterates SMs in global (cluster-major) order.
-    fn sms(&self) -> impl Iterator<Item = &Sm> {
-        self.clusters.iter().flat_map(|c| c.sms.iter())
+    /// Whether the event engine is active (active-set skipping and
+    /// incremental `ready_bound` maintenance).
+    fn event(&self) -> bool {
+        self.cfg.engine == EngineKind::Event
     }
 
     /// The configuration this simulator was built with.
@@ -523,19 +539,13 @@ impl GpuSim {
         self.finish_report(kernel_cycles, started)
     }
 
-    /// Folds shard, partition, and activity counters into the final stats
-    /// and consumes the simulator into its [`RunReport`].
+    /// Folds partition and activity counters into the final stats and
+    /// consumes the simulator into its [`RunReport`].
     fn finish_report(
         mut self,
         kernel_cycles: Vec<(String, u64)>,
         started: std::time::Instant,
     ) -> RunReport {
-        // Issue-path counters accumulate per shard while a kernel runs; fold
-        // them in here in cluster-index order.
-        for cluster in &mut self.clusters {
-            let shard_stats = std::mem::take(&mut cluster.stats);
-            self.stats.merge_shard(&shard_stats);
-        }
         self.stats.cycles = self.cycle;
         for p in &self.partitions {
             let ps = p.stats();
@@ -597,7 +607,7 @@ impl GpuSim {
 
     fn run_kernel(&mut self, grid: &KernelGrid, statics: &Arc<KernelStatics>) {
         let mut dispatcher = self.begin_kernel(grid, statics);
-        let event = self.cfg.engine == EngineKind::Event;
+        let event = self.event();
         while !self.kernel_step(grid, &mut dispatcher, event) {}
         self.end_kernel();
     }
@@ -648,13 +658,7 @@ impl GpuSim {
             let span = self.prof_start();
             self.tick_locks();
             self.prof_record(obs::Phase::Locks, span);
-            self.issue_all(event);
-            // Deterministic merge point: packets the issue phase staged in
-            // per-cluster outboxes enter the interconnect in cluster-index
-            // order.
-            let span = self.prof_start();
-            self.merge_outboxes();
-            self.prof_record(obs::Phase::Merge, span);
+            self.issue_all();
             let span = self.prof_start();
             self.dispatch(grid, dispatcher);
             self.prof_record(obs::Phase::Dispatch, span);
@@ -677,7 +681,7 @@ impl GpuSim {
             self.prof_record(obs::Phase::Wheel, span);
             if self.cycle - self.last_progress_cycle >= DEADLOCK_HORIZON {
                 let mut dump = String::new();
-                for (sm_idx, sm) in self.sms().enumerate() {
+                for (sm_idx, sm) in self.sms.iter().enumerate() {
                     for (slot, warp) in sm.warps.iter().enumerate() {
                         if let Some(w) = warp {
                             dump.push_str(&format!(
@@ -695,7 +699,7 @@ impl GpuSim {
                 }
                 let mut tail = self.trace_tail();
                 if let Some(tracer) = self.tracer.as_deref() {
-                    for (sm_idx, sm) in self.sms().enumerate() {
+                    for (sm_idx, sm) in self.sms.iter().enumerate() {
                         for (slot, warp) in sm.warps.iter().enumerate() {
                             let Some(w) = warp else { continue };
                             if w.state == WarpState::Ready {
@@ -731,11 +735,9 @@ impl GpuSim {
     /// the inter-kernel cycle gap.
     fn end_kernel(&mut self) {
         self.model.on_kernel_end();
-        for cluster in &mut self.clusters {
-            for sm in &mut cluster.sms {
-                for sched in &mut sm.schedulers {
-                    sched.on_kernel_boundary();
-                }
+        for sm in &mut self.sms {
+            for sched in &mut sm.schedulers {
+                sched.on_kernel_boundary();
             }
         }
         self.locks.reset();
@@ -744,8 +746,7 @@ impl GpuSim {
 
     fn kernel_done(&self, dispatcher: &Dispatcher) -> bool {
         dispatcher.all_dispatched()
-            && self.sms().all(|sm| sm.live_warps() == 0)
-            && self.clusters.iter().all(|c| c.outbox.is_empty())
+            && self.sms.iter().all(|sm| sm.live_warps() == 0)
             && !self.icnt.is_busy()
             && self.partitions.iter().all(|p| !p.is_busy())
             && !self.locks.is_busy()
@@ -754,15 +755,13 @@ impl GpuSim {
 
     fn advance_cycle(&mut self) {
         // Conservative fast-forward: only when the memory system is quiet
-        // (including packets still staged in cluster outboxes) and the
-        // model needs no per-cycle tick may we jump to the next warp-ready
-        // or lock-service event.
+        // and the model needs no per-cycle tick may we jump to the next
+        // warp-ready or lock-service event.
         let quiet = !self.icnt.is_busy()
-            && self.clusters.iter().all(|c| c.outbox.is_empty())
             && self.partitions.iter().all(|p| !p.is_busy())
             && !self.model.needs_tick();
         if quiet {
-            let mut target = self.sms().filter_map(Sm::earliest_ready).min();
+            let mut target = self.sms.iter().filter_map(Sm::earliest_ready).min();
             let mut fold = |ev: Option<u64>| {
                 if let Some(e) = ev {
                     target = Some(target.map_or(e, |t| t.min(e)));
@@ -809,7 +808,6 @@ impl GpuSim {
     fn advance_cycle_event(&mut self) {
         // Work that must be processed next cycle forces a dense step.
         let busy_now = self.icnt.has_queued_work()
-            || self.clusters.iter().any(|c| !c.outbox.is_empty())
             || self.model.needs_tick()
             || self
                 .partitions
@@ -822,11 +820,11 @@ impl GpuSim {
             let mut fold = |ev: u64| target = target.min(ev.max(next));
             match self.model.issue_gate() {
                 IssueGate::All => {
-                    for sm in self.sms() {
+                    for sm in &self.sms {
                         fold(sm.ready_bound());
                     }
                 }
-                IssueGate::Only(s) => fold(self.sm(s.sm).schedulers[s.sched].ready_bound),
+                IssueGate::Only(s) => fold(self.sms[s.sm].schedulers[s.sched].ready_bound),
                 IssueGate::Closed => {}
             }
             for p in &self.partitions {
@@ -884,7 +882,8 @@ impl GpuSim {
             .and_then(|t| t.next_due_sample(self.cycle))
         {
             let ready_warps = self
-                .sms()
+                .sms
+                .iter()
                 .flat_map(|sm| sm.warps.iter().flatten())
                 .filter(|w| w.state == WarpState::Ready)
                 .count() as u64;
@@ -1069,7 +1068,7 @@ impl GpuSim {
                         self.model.on_atomic_ack(warp, kind, remaining, self.cycle);
                         if kind == AtomKind::Atom {
                             let cycle = self.cycle;
-                            let sm = self.sm_mut(warp.sm);
+                            let sm = &mut self.sms[warp.sm];
                             let mut woke = None;
                             if let Some(w) = sm.warps[warp.slot].as_mut() {
                                 if w.state == WarpState::WaitAtom {
@@ -1113,7 +1112,7 @@ impl GpuSim {
     fn handle_load_resp(&mut self, sector_addr: u64, warp: WarpRef) {
         let cycle = self.cycle;
         let trace_full = self.trace_full();
-        let sm = self.sm_mut(warp.sm);
+        let sm = &mut self.sms[warp.sm];
         sm.l1.fill(sector_addr);
         let Some(waiters) = sm.l1_mshrs.remove(&sector_addr) else {
             return;
@@ -1156,7 +1155,7 @@ impl GpuSim {
 
     fn complete_write(&mut self, warp: WarpRef) -> u32 {
         let cycle = self.cycle;
-        let sm = self.sm_mut(warp.sm);
+        let sm = &mut self.sms[warp.sm];
         let mut remaining = 0;
         let mut woke = None;
         if let Some(w) = sm.warps[warp.slot].as_mut() {
@@ -1189,7 +1188,7 @@ impl GpuSim {
         for warp in released {
             self.progress();
             let cycle = self.cycle;
-            let sm = self.sm_mut(warp.sm);
+            let sm = &mut self.sms[warp.sm];
             let mut woke = None;
             if let Some(w) = sm.warps[warp.slot].as_mut() {
                 if w.state == WarpState::WaitLock {
@@ -1227,26 +1226,20 @@ impl GpuSim {
     /// Issues at most one instruction per warp scheduler.
     ///
     /// Warp-view construction (the read-only scan over each SM's warp
-    /// contexts) runs first for every [`ClusterShard`]; the pick-and-issue
-    /// *commit* then walks schedulers in global `(cluster, sm, sched)`
-    /// order.
-    fn issue_all(&mut self, event: bool) {
-        let det_aware = self.sched_kind.is_determinism_aware();
-        let srr_like = self.sched_kind == SchedKind::Srr;
+    /// contexts) runs first for every scheduler; the pick-and-issue
+    /// [commit walk](Self::commit_walk) then visits schedulers in global
+    /// `(SM, scheduler)` order.
+    fn issue_all(&mut self) {
         let prepare_started = std::time::Instant::now();
         self.gate = self.model.issue_gate();
-        let gate = self.gate;
         // GTRR's pick records warps reaching their first atomic even when
         // none is ready, so skipping a gated visit would lose that update.
         debug_assert!(
-            gate == IssueGate::All || self.sched_kind != SchedKind::Gtrr,
+            self.gate == IssueGate::All || self.sched_kind != SchedKind::Gtrr,
             "model {} closed its issue gate under GTRR scheduling",
             self.model.name()
         );
-        let cycle = self.cycle;
-        for shard in &mut self.clusters {
-            shard.prepare_views(cycle, det_aware, srr_like, event, gate);
-        }
+        self.prepare_views();
         let commit_started = std::time::Instant::now();
         self.phase_wall.prepare += commit_started - prepare_started;
         // Reuses the always-on `phase_wall` instants, so this span is
@@ -1255,133 +1248,42 @@ impl GpuSim {
         if let Some(p) = self.profile.as_deref_mut() {
             p.record(obs::Phase::Prepare, commit_started - prepare_started);
         }
-        self.issue_commit();
+        let span = self.prof_start();
+        self.commit_walk();
+        self.prof_record(obs::Phase::Commit, span);
         self.phase_wall.commit += commit_started.elapsed();
     }
 
-    /// The commit half of the issue phase: walk clusters in index order and
-    /// commit each via [`commit::commit_cluster`] — consuming the prebuilt
-    /// views in global `(cluster, sm, scheduler)` order, rebuilding any an
-    /// earlier barrier release made stale this cycle.
+    /// Rebuilds every scheduler's warp views for this cycle and clears the
+    /// dirty flags.
     ///
-    /// Under the event engine, the walk is an active-set traversal: clusters,
-    /// SMs and schedulers whose cached [`ready_bound`](Sm::ready_bound) lies in
-    /// the future are skipped in place. Skipping is equivalent to the dense
-    /// visit because `ready_bound > cycle` guarantees `build_views` would
-    /// return empty (the bound is never stale-high), and an empty view set
-    /// is exactly the dense `continue`: no gating, no pick, no issue.
-    ///
-    /// Schedulers the model's [`issue_gate`](ExecutionModel::issue_gate)
-    /// does not admit are skipped the same way (see
-    /// [`commit::commit_cluster`]).
-    ///
-    /// The skip conditions match the parked check in
-    /// [`ClusterShard::prepare_views`](crate::par::ClusterShard): mid-commit
-    /// wakes only ever lower a bound to `cycle + 1` (still parked), so
-    /// prepare and commit always agree on which schedulers are active.
-    fn issue_commit(&mut self) {
-        let span = self.prof_start();
-        for cl in 0..self.clusters.len() {
-            self.with_engine_commit(cl, commit::commit_cluster);
-        }
-        self.prof_record(obs::Phase::Commit, span);
-    }
-
-    /// Folds one commit walk's activity into the engine totals.
-    fn fold_commit_out(&mut self, out: CommitOut) {
-        self.activity.sms_ticked += out.sms_ticked;
-        self.activity.scheduler_scans += out.scheduler_scans;
-        self.activity.wakeup_events += out.wakeup_events;
-        if out.progressed {
-            self.last_progress_cycle = self.cycle;
-        }
-    }
-
-    /// Builds the immutable per-cluster snapshot a commit walk reads.
-    fn commit_params(&self, cl: usize) -> CommitParams {
-        CommitParams {
-            cycle: self.cycle,
-            cluster: cl,
-            spc: self.cfg.sms_per_cluster,
-            num_sched: self.cfg.num_schedulers_per_sm,
-            l1_hit_latency: self.cfg.l1_hit_latency,
-            icnt_flit_size: self.cfg.icnt_flit_size,
-            num_mem_partitions: self.cfg.num_mem_partitions,
-            det_aware: self.sched_kind.is_determinism_aware(),
-            srr_like: self.sched_kind == SchedKind::Srr,
-            event: self.cfg.engine == EngineKind::Event,
-            gate: self.gate,
-            icnt_budget: self.icnt.request_injection_budget(cl),
-        }
-    }
-
-    /// Runs `f` against cluster `cl`'s shard with the live engine
-    /// resources, then folds the walk's activity counters into the engine
-    /// totals. Every commit-machinery entry point goes through here, so all
-    /// of them observe the same parameters.
-    fn with_engine_commit(
-        &mut self,
-        cl: usize,
-        f: impl FnOnce(&mut ClusterShard, &CommitParams, &mut EngineShared<'_>, &mut CommitOut),
-    ) {
-        let p = self.commit_params(cl);
-        let mut out = CommitOut::default();
-        {
-            let GpuSim {
-                clusters,
-                model,
-                locks,
-                tracer,
-                ..
-            } = self;
-            let mut sh = EngineShared {
-                model: model.as_mut(),
-                locks,
-                tracer: tracer.as_deref_mut(),
-            };
-            f(&mut clusters[cl], &p, &mut sh, &mut out);
-        }
-        self.fold_commit_out(out);
-    }
-
-    /// Drains every cluster's staged outbound packets into the interconnect,
-    /// in cluster-index order: the per-cycle deterministic merge point.
-    fn merge_outboxes(&mut self) {
-        let merge_started = std::time::Instant::now();
-        let trace_full = self.trace_full();
-        for c in 0..self.clusters.len() {
-            while let Some(pkt) = self.clusters[c].outbox.pop() {
-                if trace_full {
-                    self.trace_event(obs::Event::IcntInject {
-                        cycle: self.cycle,
-                        cluster: c as u32,
-                        dest: pkt.dest as u32,
-                        kind: pkt_kind(&pkt.payload),
-                    });
-                }
-                self.icnt.inject_request(c, pkt);
+    /// Under the event engine, schedulers whose cached
+    /// [`ready_bound`](crate::sm::SchedulerCtx::ready_bound) lies past the
+    /// cycle are skipped: the bound invariant guarantees their
+    /// `build_views` would return empty, which is exactly what the commit
+    /// walk treats a skipped row as. So are schedulers the model's issue
+    /// gate does not admit: their `can_issue` answers would all be
+    /// `false`, which the commit walk treats the same way.
+    fn prepare_views(&mut self) {
+        let (cycle, gate, event) = (self.cycle, self.gate, self.event());
+        let (det_aware, srr_like) = (self.det_aware(), self.srr_like());
+        let num_sched = self.cfg.num_schedulers_per_sm;
+        self.dirty.fill(false);
+        for (sm_idx, sm) in self.sms.iter().enumerate() {
+            for sched in 0..num_sched {
+                let row = sm_idx * num_sched + sched;
+                let parked = sm.schedulers[sched].live == 0
+                    || (event
+                        && (sm.schedulers[sched].ready_bound > cycle
+                            || !gate.admits(sm_idx, sched)));
+                self.view_bounds[row] = if parked {
+                    self.views[row].clear();
+                    u64::MAX
+                } else {
+                    sm.build_views(sched, cycle, det_aware, srr_like, &mut self.views[row])
+                };
             }
         }
-        self.phase_wall.merge += merge_started.elapsed();
-    }
-
-    /// Wakes a flush-parked warp at the epoch boundary (see
-    /// [`commit::wake_flush_wait`]); the model-wake entry point.
-    fn wake_flush_wait(&mut self, sm_idx: usize, slot: usize) {
-        let spc = self.cfg.sms_per_cluster;
-        self.with_engine_commit(sm_idx / spc, |shard, p, sh, out| {
-            commit::wake_flush_wait(shard, p, sh, out, sm_idx % spc, slot);
-        });
-    }
-
-    /// Retires the warp if it has finished and drained (see
-    /// [`commit::try_retire`]); entry point for the response, lock-grant,
-    /// and spawn paths.
-    fn try_retire(&mut self, sm_idx: usize, slot: usize) {
-        let spc = self.cfg.sms_per_cluster;
-        self.with_engine_commit(sm_idx / spc, |shard, p, sh, out| {
-            commit::try_retire(shard, p, sh, out, sm_idx % spc, slot);
-        });
     }
 
     // ------------------------------------------------------------------
@@ -1399,10 +1301,10 @@ impl GpuSim {
                     continue;
                 };
                 let cta = &grid.ctas[cta_idx];
-                if self.sm(sm_idx).can_accept(cta) {
+                if self.sms[sm_idx].can_accept(cta) {
                     dispatcher.static_queues[sm_idx].pop_front();
                     let base = dispatcher.statics.unique_bases[cta_idx];
-                    let slots = self.sm_mut(sm_idx).add_cta(
+                    let slots = self.sms[sm_idx].add_cta(
                         cta,
                         base,
                         cycle,
@@ -1423,7 +1325,7 @@ impl GpuSim {
             let n = self.cfg.num_sms();
             let placeable = dispatcher.dynamic_queue.front().is_some_and(|&cta_idx| {
                 let cta = &grid.ctas[cta_idx];
-                (0..n).any(|sm_idx| self.sm(sm_idx).can_accept(cta))
+                (0..n).any(|sm_idx| self.sms[sm_idx].can_accept(cta))
             });
             if placeable {
                 // Oracle branch point only when the perturbed rotation
@@ -1436,7 +1338,7 @@ impl GpuSim {
                 let eligible = self.ndet.has_oracle()
                     && dispatcher.dynamic_queue.front().is_some_and(|&cta_idx| {
                         let cta = &grid.ctas[cta_idx];
-                        let acceptors = (0..n).filter(|&s| self.sm(s).can_accept(cta)).count();
+                        let acceptors = (0..n).filter(|&s| self.sms[s].can_accept(cta)).count();
                         acceptors >= 2 || dispatcher.dynamic_queue.len() >= 2
                     });
                 let start = (dispatcher.rr
@@ -1451,10 +1353,10 @@ impl GpuSim {
                         break;
                     };
                     let cta = &grid.ctas[cta_idx];
-                    if self.sm(sm_idx).can_accept(cta) {
+                    if self.sms[sm_idx].can_accept(cta) {
                         dispatcher.dynamic_queue.pop_front();
                         let base = dispatcher.statics.unique_bases[cta_idx];
-                        let slots = self.sm_mut(sm_idx).add_cta(
+                        let slots = self.sms[sm_idx].add_cta(
                             cta,
                             base,
                             cycle,
@@ -1471,16 +1373,14 @@ impl GpuSim {
             }
         }
         if dispatcher.all_dispatched() {
-            for cluster in &mut self.clusters {
-                for sm in &mut cluster.sms {
-                    for sched in &mut sm.schedulers {
-                        if sched.advance_completed(true) {
-                            // The batch gate opened for a partially filled
-                            // tail batch; its warps carried no timer bound
-                            // while gated, so re-arm the scheduler for the
-                            // next issue phase.
-                            sched.note_ready(cycle + 1);
-                        }
+            for sm in &mut self.sms {
+                for sched in &mut sm.schedulers {
+                    if sched.advance_completed(true) {
+                        // The batch gate opened for a partially filled
+                        // tail batch; its warps carried no timer bound
+                        // while gated, so re-arm the scheduler for the
+                        // next issue phase.
+                        sched.note_ready(cycle + 1);
                     }
                 }
             }
@@ -1490,7 +1390,7 @@ impl GpuSim {
     fn notify_spawns(&mut self, sm_idx: usize, slots: &[usize]) {
         for &slot in slots {
             let (sched, unique) = {
-                let w = self.sm(sm_idx).warps[slot].as_ref().expect("spawned");
+                let w = self.sms[sm_idx].warps[slot].as_ref().expect("spawned");
                 (w.sched, w.unique)
             };
             self.model.on_warp_spawn(WarpId {
@@ -1504,15 +1404,15 @@ impl GpuSim {
     }
 
     fn model_tick(&mut self, all_dispatched: bool) {
-        let det_aware = self.sched_kind.is_determinism_aware();
         // Census rows are SM-local (counts plus per-scheduler policy
-        // bookkeeping), so each cluster's rows build independently.
-        for shard in &mut self.clusters {
-            shard.prepare_census(det_aware);
-        }
-        let rows = self.cfg.sms_per_cluster * self.cfg.num_schedulers_per_sm;
-        for shard in &self.clusters {
-            self.census[shard.id * rows..(shard.id + 1) * rows].copy_from_slice(&shard.census);
+        // bookkeeping), so each SM writes its own rows in place.
+        let det_aware = self.det_aware();
+        for (sm, rows) in self
+            .sms
+            .iter_mut()
+            .zip(self.census.chunks_mut(self.cfg.num_schedulers_per_sm))
+        {
+            sm.census_into(det_aware, rows);
         }
         let mut ctx = ModelCtx::new(
             self.cycle,
@@ -1540,7 +1440,7 @@ impl GpuSim {
             self.progress();
             match wake {
                 WakeCmd::FlushWaiters { sm } => {
-                    for slot in 0..self.sm(sm).warps.len() {
+                    for slot in 0..self.sms[sm].warps.len() {
                         self.wake_flush_wait(sm, slot);
                     }
                 }
@@ -1559,7 +1459,6 @@ mod tests {
     use crate::isa::Instr;
     use crate::isa::{AtomicAccess, AtomicOp, LockKind, MemAccess, Value, WarpProgram};
     use crate::kernel::CtaSpec;
-    use crate::mem::packet::Packet;
 
     fn sum_grid(warps: usize, lanes: usize, target: u64) -> KernelGrid {
         let ctas = (0..warps)
@@ -1987,41 +1886,72 @@ mod tests {
     }
 
     #[test]
-    fn staged_outbox_packets_block_quiescence() {
-        // Regression: a packet staged in a cluster outbox but not yet merged
-        // into the interconnect must keep the machine "busy" — both for
-        // kernel completion and for the fast-forward's quiet check.
-        let mut sim = GpuSim::new(
-            GpuConfig::tiny(),
-            Box::new(BaselineModel::new()),
-            NdetSource::disabled(),
+    fn walk_injection_admits_against_the_live_cluster_budget() {
+        // Each cluster may hold 6 request flits, and a 32-lane f32 load
+        // misses 4 sectors, one flit each: one load fits per cluster and
+        // cycle, two do not.
+        let mut cfg = GpuConfig::tiny();
+        cfg.icnt_input_buffer = 6;
+        cfg.trace = obs::TraceMode::Full;
+        let load = |base: u64| {
+            WarpProgram::new(
+                vec![Instr::Load {
+                    accesses: vec![MemAccess::per_lane_f32(base, 32)],
+                }],
+                32,
+            )
+        };
+        // CTA 0: two warps (schedulers 0 and 1) loading disjoint lines, so
+        // neither can ride the other's MSHRs. CTA 1: one warp, which lands
+        // on the other SM and hence the other cluster.
+        let grid = KernelGrid::new(
+            "admission",
+            vec![
+                CtaSpec::new(0, vec![load(0x1_0000), load(0x2_0000)]),
+                CtaSpec::new(1, vec![load(0x3_0000)]),
+            ],
         );
-        let empty = KernelGrid::new("noop", vec![]);
-        let statics = KernelStatics::build(&sim.cfg, &empty);
-        let dispatcher =
-            Dispatcher::new(&empty, CtaDistribution::Dynamic, sim.cfg.num_sms(), statics);
-        assert!(sim.kernel_done(&dispatcher), "idle machine must be done");
-
-        let pkt = Packet::new(
-            0,
-            Payload::LoadReq {
-                sector_addr: 0x40,
-                warp: WarpRef { sm: 0, slot: 0 },
-            },
-            sim.cfg.icnt_flit_size,
-        );
-        sim.clusters[0].outbox.stage(pkt);
-        assert!(
-            !sim.kernel_done(&dispatcher),
-            "staged outbox packet must count as in-flight work"
-        );
-        // The quiet fast-forward must also refuse to jump over the merge.
-        let before = sim.cycle;
-        sim.advance_cycle();
-        assert_eq!(sim.cycle, before + 1, "no fast-forward while staged");
-
-        sim.merge_outboxes();
-        assert!(sim.clusters[0].outbox.is_empty());
-        assert!(sim.icnt.is_busy(), "merged packet now rides the icnt");
+        let sim = GpuSim::new(cfg, Box::new(BaselineModel::new()), NdetSource::disabled());
+        let report = sim.run(&[grid]);
+        let events = report.trace.expect("full trace").arch;
+        let loads: Vec<(u64, u32, u32)> = events
+            .iter()
+            .filter_map(|ev| match *ev {
+                obs::Event::Issue {
+                    cycle,
+                    sm,
+                    sched,
+                    kind: obs::InstrKind::Load,
+                    ..
+                } => Some((cycle, sm, sched)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(loads.len(), 3, "three loads issue: {loads:?}");
+        let first = loads.iter().map(|l| l.0).min().expect("a load");
+        let injected = |cluster: u32| {
+            events
+                .iter()
+                .filter(|ev| {
+                    matches!(ev, obs::Event::IcntInject { cycle, cluster: c, .. }
+                        if *cycle == first && *c == cluster)
+                })
+                .count()
+        };
+        let mut at_first: Vec<(u32, u32)> = loads
+            .iter()
+            .filter(|l| l.0 == first)
+            .map(|l| (l.1, l.2))
+            .collect();
+        at_first.sort_unstable();
+        // Cluster 0 admits its scheduler-0 load, and cluster 1 its only
+        // load, in the same cycle; cluster 0's scheduler-1 load is refused
+        // against the 2 flits scheduler 0 left and retries later.
+        assert_eq!(at_first, vec![(0, 0), (1, 0)], "loads: {loads:?}");
+        assert_eq!((injected(0), injected(1)), (4, 4));
+        let retry = loads.iter().find(|l| l.0 != first).expect("a retried load");
+        assert_eq!((retry.1, retry.2), (0, 1), "loads: {loads:?}");
+        assert!(report.stats.icnt_stall_cycles > 0);
+        assert_eq!(report.stats.mem_transactions, 12);
     }
 }

@@ -1,43 +1,48 @@
-//! The commit half of the issue phase, packaged per cluster.
+//! The commit half of the issue phase: the fixed `(SM, scheduler)` walk.
 //!
-//! Each cycle, [`commit_cluster`] walks one cluster's SMs and schedulers in
-//! fixed order, consuming the warp views the prepare phase built, picking
-//! and issuing one instruction per scheduler. The walk is written against
-//! three explicit capability sets instead of the whole [`GpuSim`]:
+//! Each cycle, [`GpuSim::commit_walk`] visits every SM in global index
+//! order and every scheduler in index order, consuming the warp views the
+//! prepare phase built, applying model gating, picking, and issuing one
+//! instruction per scheduler. The walk is a set of `GpuSim` methods: it
+//! reads the cycle, the geometry and the issue-gate snapshot straight off
+//! the engine, books its statistics and activity counters into the
+//! engine's own totals, and injects each request packet into the
+//! interconnect the moment it issues.
 //!
-//! - [`CommitParams`]: an immutable per-cluster snapshot of everything the
-//!   walk reads from global state (cycle, geometry, latencies, and the
-//!   cluster's interconnect injection budget — exact because the issue
-//!   phase never mutates the interconnect; all packets stage in the
-//!   cluster's outbox until the merge point);
-//! - [`EngineShared`]: the engine-global mutable resources (execution
-//!   model, lock manager, tracer);
-//! - [`CommitOut`]: activity counters accumulated by the walk, folded into
-//!   the engine's totals in cluster-index order.
+//! Admission is per cluster: a cluster may send `f` more flits while
+//! [`Interconnect::request_injection_budget`] for it is at least `f`, and
+//! [`Interconnect::inject_request`] debits exactly the packet's flits from
+//! that budget. Nothing else touches the interconnect during the walk
+//! (`Interconnect::tick` runs before the issue phase; model hooks and the
+//! lock manager have no interconnect access), so each admission decision
+//! and each cluster's packet order is a function of the walk order alone.
 //!
-//! Everything else the walk touches lives inside the [`ClusterShard`]
-//! itself (SMs, warp state, L1s, per-shard stats, the packet outbox).
+//! The walk draws no non-determinism: it holds no [`NdetSource`] and no
+//! [`ScheduleOracle`], and every draw happens in the engine's own phases.
+//! `dab-explore` numbers its decisions in the engine's fixed visit order
+//! and depends on this.
 //!
-//! [`GpuSim`]: crate::engine::GpuSim
+//! [`Interconnect::request_injection_budget`]: crate::mem::icnt::Interconnect::request_injection_budget
+//! [`Interconnect::inject_request`]: crate::mem::icnt::Interconnect::inject_request
+//! [`NdetSource`]: crate::ndet::NdetSource
+//! [`ScheduleOracle`]: crate::oracle::ScheduleOracle
 
 use std::sync::Arc;
 
+use super::{pkt_kind, GpuSim};
 use crate::exec::{
-    AtomicIssue, AtomicRoute, BarrierRelease, ExecutionModel, FenceAction, IssueGate, SchedId,
-    StoreRoute, WarpId,
+    AtomicIssue, AtomicRoute, BarrierRelease, FenceAction, SchedId, StoreRoute, WarpId,
 };
 use crate::imeta::InstrMeta;
 use crate::isa::{AtomicAccess, AtomicOp, Instr};
-use crate::lock::LockManager;
 use crate::mem::cache::Probe;
 use crate::mem::packet::{AtomKind, Packet, Payload, WarpRef};
 use crate::mem::partition_of;
-use crate::par::ClusterShard;
 use crate::sched::WarpView;
 use crate::sm::WarpState;
 
 /// Flattens an instruction to its trace event class.
-pub(crate) fn instr_kind(instr: &Instr) -> obs::InstrKind {
+fn instr_kind(instr: &Instr) -> obs::InstrKind {
     match instr {
         Instr::Alu { .. } => obs::InstrKind::Alu,
         Instr::Load { .. } => obs::InstrKind::Load,
@@ -50,170 +55,37 @@ pub(crate) fn instr_kind(instr: &Instr) -> obs::InstrKind {
     }
 }
 
-/// Immutable per-cluster inputs to a commit walk: a snapshot of the global
-/// state the walk reads.
-#[derive(Debug, Clone, Copy)]
-pub struct CommitParams {
-    /// Current simulation cycle.
-    pub cycle: u64,
-    /// Global index of the cluster being committed.
-    pub cluster: usize,
-    /// SMs per cluster (converts shard-local SM indices to global ones).
-    pub spc: usize,
-    /// Warp schedulers per SM.
-    pub num_sched: usize,
-    /// L1 hit latency in cycles.
-    pub l1_hit_latency: u32,
-    /// Interconnect flit size in bytes.
-    pub icnt_flit_size: usize,
-    /// Number of memory partitions (for address interleaving).
-    pub num_mem_partitions: usize,
-    /// Whether the scheduling policy is determinism-aware (batch gating).
-    pub det_aware: bool,
-    /// Whether the policy is strict round-robin (SRR-like gating).
-    pub srr_like: bool,
-    /// Whether the event engine is active (incremental `ready_bound`
-    /// maintenance and active-set skipping).
-    pub event: bool,
-    /// The model's [`issue_gate`](ExecutionModel::issue_gate), snapshotted
-    /// at the top of the issue phase. The event walk skips schedulers it
-    /// does not admit; the gate can only narrow during the phase.
-    pub gate: IssueGate,
-    /// The cluster's request-injection headroom in flits, snapshotted from
-    /// [`Interconnect::request_injection_budget`] at the start of the issue
-    /// phase. Exact for the whole phase: nothing enters the interconnect
-    /// until the post-issue merge point.
-    ///
-    /// [`Interconnect::request_injection_budget`]:
-    ///     crate::mem::icnt::Interconnect::request_injection_budget
-    pub icnt_budget: u32,
-}
-
-/// Activity accumulated by one commit walk, merged into the engine's
-/// [`ActivityCounters`] in cluster-index order.
-///
-/// [`ActivityCounters`]: crate::engine::GpuSim
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CommitOut {
-    /// SMs entered (not skipped by the active-set walk).
-    pub sms_ticked: u64,
-    /// Full warp-array ready-bound rescans: the O(warps/scheduler) work
-    /// incremental wake lists exist to avoid. Only two sites still scan —
-    /// a batch-gate opening (gated warps carry no timer bound, so the
-    /// exact bound must be re-derived) and a dirty mid-commit view
-    /// rebuild. Before wake lists, every scheduler visit ended in one.
-    pub scheduler_scans: u64,
-    /// Warp sleep→ready transitions triggered by this walk (barrier
-    /// releases, flush parks resolving).
-    pub wakeup_events: u64,
-    /// Whether any instruction issued or warp retired (feeds the engine's
-    /// deadlock watchdog).
-    pub progressed: bool,
-}
-
-/// The engine-global mutable resources a commit walk may touch.
-#[derive(Debug)]
-pub struct EngineShared<'a> {
-    /// The execution model (commit-phase hooks).
-    pub model: &'a mut dyn ExecutionModel,
-    /// The deterministic lock manager.
-    pub locks: &'a mut LockManager,
-    /// The structured event tracer, when tracing is enabled.
-    pub tracer: Option<&'a mut obs::Tracer>,
-}
-
-/// Commits one cluster for this cycle: the fixed `(SM, scheduler)` walk
-/// that consumes prebuilt views, applies model gating, picks, and issues.
-pub fn commit_cluster(
-    shard: &mut ClusterShard,
-    p: &CommitParams,
-    sh: &mut EngineShared<'_>,
-    out: &mut CommitOut,
-) {
-    let mut cx = Cx { shard, p, sh, out };
-    cx.run();
-}
-
-/// Retires the warp in `slot` of shard-local SM `local` if it has finished
-/// and drained; entry point for the engine's response/lock/spawn paths.
-pub fn try_retire(
-    shard: &mut ClusterShard,
-    p: &CommitParams,
-    sh: &mut EngineShared<'_>,
-    out: &mut CommitOut,
-    local: usize,
-    slot: usize,
-) {
-    Cx { shard, p, sh, out }.try_retire(local, slot);
-}
-
-/// Wakes a flush-parked warp (epoch boundary); entry point for the
-/// engine's model-wake path.
-pub fn wake_flush_wait(
-    shard: &mut ClusterShard,
-    p: &CommitParams,
-    sh: &mut EngineShared<'_>,
-    out: &mut CommitOut,
-    local: usize,
-    slot: usize,
-) {
-    Cx { shard, p, sh, out }.wake_flush_wait(local, slot);
-}
-
-/// The commit walk's working context: one cluster's shard plus the
-/// engine-level capabilities. Methods mirror the engine's former
-/// `&mut self` issue machinery one-to-one.
-struct Cx<'a, 'b> {
-    shard: &'a mut ClusterShard,
-    p: &'a CommitParams,
-    sh: &'a mut EngineShared<'b>,
-    out: &'a mut CommitOut,
-}
-
-impl Cx<'_, '_> {
-    /// Global SM index of shard-local SM `local`.
+impl GpuSim {
+    /// Whether SM `sm_idx`'s cluster can inject `flits` more request flits
+    /// this cycle: the live interconnect budget, which every packet sent
+    /// earlier in the walk has already been debited from.
     #[inline]
-    fn global_sm(&self, local: usize) -> usize {
-        self.p.cluster * self.p.spc + local
+    fn can_send(&self, sm_idx: usize, flits: u32) -> bool {
+        flits
+            <= self
+                .icnt
+                .request_injection_budget(sm_idx / self.cfg.sms_per_cluster)
     }
 
-    /// Whether full-detail tracing is on.
-    #[inline]
-    fn trace_full(&self) -> bool {
-        self.sh.tracer.as_deref().is_some_and(obs::Tracer::is_full)
-    }
-
-    /// Records a trace event (no-op when tracing is off).
-    #[inline]
-    fn trace_event(&mut self, ev: obs::Event) {
-        if let Some(t) = self.sh.tracer.as_deref_mut() {
-            t.record(ev);
+    /// Injects an outbound request packet at SM `sm_idx`'s cluster.
+    fn send(&mut self, sm_idx: usize, pkt: Packet) {
+        let cluster = sm_idx / self.cfg.sms_per_cluster;
+        if self.trace_full() {
+            self.trace_event(obs::Event::IcntInject {
+                cycle: self.cycle,
+                cluster: cluster as u32,
+                dest: pkt.dest as u32,
+                kind: pkt_kind(&pkt.payload),
+            });
         }
+        self.icnt.inject_request(cluster, pkt);
     }
 
-    /// Marks forward progress (instruction issued or warp retired).
-    #[inline]
-    fn progress(&mut self) {
-        self.out.progressed = true;
-    }
-
-    /// Whether the cluster can stage `flits` more request flits this cycle,
-    /// against the snapshotted interconnect budget.
-    #[inline]
-    fn can_send(&self, flits: u32) -> bool {
-        self.shard.outbox.flits() + flits <= self.p.icnt_budget
-    }
-
-    /// Stages an outbound request packet; it enters the interconnect at
-    /// this cycle's merge point.
-    #[inline]
-    fn send(&mut self, pkt: Packet) {
-        self.shard.outbox.stage(pkt);
-    }
-
-    /// The full per-cluster commit walk (see [`commit_cluster`]).
+    /// The commit walk: every scheduler of every SM, in global `(SM,
+    /// scheduler)` index order, consumes its prebuilt views, applies model
+    /// gating, picks, and issues.
     ///
-    /// With `event` set, the walk is an active-set traversal: SMs and
+    /// Under the event engine the walk is an active-set traversal: SMs and
     /// schedulers whose cached `ready_bound` lies in the future are skipped
     /// in place. Skipping is equivalent to the dense visit because
     /// `ready_bound > cycle` guarantees `build_views` would return empty
@@ -222,7 +94,10 @@ impl Cx<'_, '_> {
     /// model's issue gate does not admit are skipped the same way, with
     /// their bound left as it is: every `can_issue` answer there would be
     /// `false`, and a stale-low bound only costs a visit once the gate
-    /// reopens.
+    /// reopens. These are the parked checks of
+    /// [`prepare_views`](GpuSim::prepare_views): mid-commit wakes only ever
+    /// lower a bound to `cycle + 1` (still parked), so prepare and commit
+    /// agree on which schedulers are active.
     ///
     /// Visited schedulers maintain their bound *incrementally* instead of
     /// rescanning warps: the bound is re-armed to `u64::MAX` before the
@@ -231,21 +106,19 @@ impl Cx<'_, '_> {
     /// the picked warp is re-evaluated live (`Sm::note_slot_bound`). Dirty
     /// SMs (a barrier release mutated warps mid-commit) rebuild views —
     /// and with them exact bounds — on the spot, so no wake is ever lost.
-    fn run(&mut self) {
-        let cycle = self.p.cycle;
-        let event = self.p.event;
-        let gate = self.p.gate;
-        if event && self.shard.sms.iter().all(|sm| sm.ready_bound() > cycle) {
-            return;
-        }
-        for local in 0..self.p.spc {
-            let sm_idx = self.global_sm(local);
-            if event && (self.shard.sms[local].ready_bound() > cycle || !gate.admits_sm(sm_idx)) {
+    pub(super) fn commit_walk(&mut self) {
+        let cycle = self.cycle;
+        let event = self.event();
+        let gate = self.gate;
+        let (det_aware, srr_like) = (self.det_aware(), self.srr_like());
+        let num_sched = self.cfg.num_schedulers_per_sm;
+        for sm_idx in 0..self.sms.len() {
+            if event && (self.sms[sm_idx].ready_bound() > cycle || !gate.admits_sm(sm_idx)) {
                 continue;
             }
-            self.out.sms_ticked += 1;
-            for sched in 0..self.p.num_sched {
-                if self.shard.sms[local].schedulers[sched].live == 0 {
+            self.activity.sms_ticked += 1;
+            for sched in 0..num_sched {
+                if self.sms[sm_idx].schedulers[sched].live == 0 {
                     // A dead scheduler can be left holding a stale-low bound:
                     // bounds only ever fall between visits, and a scheduler
                     // with no live warps is never visited again to install an
@@ -253,47 +126,41 @@ impl Cx<'_, '_> {
                     // this SM's walk) to every remaining cycle; a later CTA
                     // placement re-lowers it on arrival.
                     if event {
-                        self.shard.sms[local].schedulers[sched].ready_bound = u64::MAX;
+                        self.sms[sm_idx].schedulers[sched].ready_bound = u64::MAX;
                     }
                     continue;
                 }
                 if event
-                    && (self.shard.sms[local].schedulers[sched].ready_bound > cycle
+                    && (self.sms[sm_idx].schedulers[sched].ready_bound > cycle
                         || !gate.admits(sm_idx, sched))
                 {
                     continue;
                 }
                 // Borrow the row's view buffer for the visit and hand it
                 // back afterwards, so its allocation is reused every cycle.
-                let row = local * self.p.num_sched + sched;
-                let mut views = std::mem::take(&mut self.shard.views[row]);
-                let agg_bound = if self.shard.is_dirty(local) {
-                    self.out.scheduler_scans += 1;
-                    self.shard.sms[local].build_views(
-                        sched,
-                        cycle,
-                        self.p.det_aware,
-                        self.p.srr_like,
-                        &mut views,
-                    )
+                let row = sm_idx * num_sched + sched;
+                let mut views = std::mem::take(&mut self.views[row]);
+                let agg_bound = if self.dirty[sm_idx] {
+                    self.activity.scheduler_scans += 1;
+                    self.sms[sm_idx].build_views(sched, cycle, det_aware, srr_like, &mut views)
                 } else {
-                    self.shard.view_bounds[row]
+                    self.view_bounds[row]
                 };
                 if event {
                     // Re-arm before the pick: wakes triggered by this
                     // visit (barrier releases, retirements) lower the
                     // bound from MAX via `note_ready`/recompute and are
                     // preserved by the min-folds below.
-                    self.shard.sms[local].schedulers[sched].ready_bound = u64::MAX;
+                    self.sms[sm_idx].schedulers[sched].ready_bound = u64::MAX;
                 }
                 let picked = if views.is_empty() {
                     None
                 } else {
-                    self.apply_model_gating(local, sched, &mut views);
-                    self.pick_and_issue(local, sched, &views)
+                    self.apply_model_gating(sm_idx, sched, &mut views);
+                    self.pick_and_issue(sm_idx, sched, &views)
                 };
                 if event {
-                    let sm = &mut self.shard.sms[local];
+                    let sm = &mut self.sms[sm_idx];
                     for v in &views {
                         if Some(v.slot) != picked {
                             sm.schedulers[sched].note_ready(v.bound_at);
@@ -303,10 +170,10 @@ impl Cx<'_, '_> {
                         sm.schedulers[sched].note_ready(agg_bound);
                     }
                     if let Some(slot) = picked {
-                        sm.note_slot_bound(slot, self.p.det_aware, self.p.srr_like);
+                        sm.note_slot_bound(slot, det_aware, srr_like);
                     }
                 }
-                self.shard.views[row] = views;
+                self.views[row] = views;
             }
         }
     }
@@ -314,25 +181,24 @@ impl Cx<'_, '_> {
     /// Model gating (GPUDet quanta / serial mode) applied to ready views.
     ///
     /// The dense walk visits every scheduler, so debug builds check the
-    /// [`issue_gate`](ExecutionModel::issue_gate) contract here: a gate
+    /// [`issue_gate`](crate::exec::ExecutionModel::issue_gate) contract here: a gate
     /// that shuts out a scheduler `can_issue` would admit makes the event
     /// engine drop that issue.
-    fn apply_model_gating(&mut self, local: usize, sched: usize, views: &mut [WarpView]) {
-        let cycle = self.p.cycle;
-        let sm_idx = self.global_sm(local);
+    fn apply_model_gating(&mut self, sm_idx: usize, sched: usize, views: &mut [WarpView]) {
+        let cycle = self.cycle;
         for v in views.iter_mut().filter(|v| v.ready) {
             let warp_id = WarpId {
                 sched: SchedId { sm: sm_idx, sched },
                 slot: v.slot,
                 unique: v.unique,
             };
-            v.ready = self.sh.model.can_issue(warp_id, v.next_is_atomic, cycle);
+            v.ready = self.model.can_issue(warp_id, v.next_is_atomic, cycle);
             debug_assert!(
-                !v.ready || self.p.gate.admits(sm_idx, sched),
+                !v.ready || self.gate.admits(sm_idx, sched),
                 "can_issue admitted warp {} on scheduler {sm_idx}:{sched} at cycle {cycle}, \
                  which the model's issue gate {:?} shuts out",
                 v.unique,
-                self.p.gate,
+                self.gate,
             );
         }
     }
@@ -340,28 +206,23 @@ impl Cx<'_, '_> {
     /// Runs the policy pick and issues the chosen warp. Returns the picked
     /// slot (whether or not the issue succeeded) so the event engine can
     /// exclude its stale prebuilt bound from the incremental fold.
-    fn pick_and_issue(&mut self, local: usize, sched: usize, views: &[WarpView]) -> Option<usize> {
-        let cycle = self.p.cycle;
-        let picked = self.shard.sms[local].schedulers[sched]
-            .policy
-            .pick(views, cycle);
+    fn pick_and_issue(&mut self, sm_idx: usize, sched: usize, views: &[WarpView]) -> Option<usize> {
+        let cycle = self.cycle;
+        let picked = self.sms[sm_idx].schedulers[sched].policy.pick(views, cycle);
         if let Some(slot) = picked {
             debug_assert!(
                 views.iter().any(|v| v.slot == slot && v.ready),
                 "scheduler picked a non-ready warp"
             );
-            self.issue_one(local, sched, slot);
+            self.issue_one(sm_idx, sched, slot);
         }
         picked
     }
 
-    fn issue_one(&mut self, local: usize, sched: usize, slot: usize) {
-        let cycle = self.p.cycle;
-        let sm_idx = self.global_sm(local);
+    fn issue_one(&mut self, sm_idx: usize, sched: usize, slot: usize) {
+        let cycle = self.cycle;
         let (program, meta, pc, unique, lanes) = {
-            let w = self.shard.sms[local].warps[slot]
-                .as_ref()
-                .expect("picked warp");
+            let w = self.sms[sm_idx].warps[slot].as_ref().expect("picked warp");
             (
                 Arc::clone(&w.program),
                 Arc::clone(&w.meta),
@@ -382,9 +243,7 @@ impl Cx<'_, '_> {
         let mut thread_instrs = instr.thread_instr_count(lanes);
         match instr {
             Instr::Alu { cycles, count } => {
-                let w = self.shard.sms[local].warps[slot]
-                    .as_mut()
-                    .expect("picked warp");
+                let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
                 if w.alu_rem == 0 {
                     w.alu_rem = (*count).max(1);
                 }
@@ -403,7 +262,7 @@ impl Cx<'_, '_> {
                 let InstrMeta::Sectors(sectors) = meta.at(pc) else {
                     unreachable!("load without sector metadata")
                 };
-                issued = self.issue_load(local, slot, sectors);
+                issued = self.issue_load(sm_idx, slot, sectors);
             }
             Instr::Store { .. } => {
                 let InstrMeta::Sectors(sectors) = meta.at(pc) else {
@@ -418,7 +277,7 @@ impl Cx<'_, '_> {
                 issued = self.issue_atomic(warp_id, *op, accesses, AtomKind::Atom, meta.at(pc));
             }
             Instr::Bar => {
-                self.issue_barrier(local, slot);
+                self.issue_barrier(sm_idx, slot);
             }
             Instr::Fence => {
                 self.issue_fence(warp_id);
@@ -431,12 +290,10 @@ impl Cx<'_, '_> {
                 critical_cycles,
             } => {
                 let occurrence = {
-                    let w = self.shard.sms[local].warps[slot]
-                        .as_mut()
-                        .expect("picked warp");
+                    let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
                     w.next_lock_occurrence(*lock_addr)
                 };
-                self.sh.locks.acquire(
+                self.locks.acquire(
                     warp_ref,
                     unique,
                     occurrence,
@@ -446,9 +303,7 @@ impl Cx<'_, '_> {
                     *critical_cycles,
                     *op,
                 );
-                let w = self.shard.sms[local].warps[slot]
-                    .as_mut()
-                    .expect("picked warp");
+                let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
                 w.pc += 1;
                 w.state = WarpState::WaitLock;
                 if self.trace_full() {
@@ -475,18 +330,15 @@ impl Cx<'_, '_> {
                     kind: instr_kind(instr),
                 });
             }
-            // Issue-path counters accumulate per cluster shard and merge in
-            // cluster-index order at end of run.
-            let shard_stats = &mut self.shard.stats;
-            shard_stats.warp_instrs += 1;
-            shard_stats.thread_instrs += thread_instrs;
-            shard_stats.atomics += instr.atomic_count();
+            self.stats.warp_instrs += 1;
+            self.stats.thread_instrs += thread_instrs;
+            self.stats.atomics += instr.atomic_count();
             let was_atomic = instr.is_atomic();
-            self.shard.sms[local].schedulers[sched]
+            self.sms[sm_idx].schedulers[sched]
                 .policy
                 .on_issue(unique, was_atomic, cycle);
-            self.sh.model.on_issue(warp_id, was_atomic, cycle);
-            self.try_retire(local, slot);
+            self.model.on_issue(warp_id, was_atomic, cycle);
+            self.try_retire(sm_idx, slot);
         }
     }
 
@@ -494,83 +346,75 @@ impl Cx<'_, '_> {
     /// the misses. A load refused for MSHR or interconnect space probes
     /// again on its retry, so every attempt updates the L1's LRU state and
     /// access counters.
-    fn issue_load(&mut self, local: usize, slot: usize, sectors: &[u64]) -> bool {
-        // The misses go into the shard's reused sector buffer.
-        let mut missing = std::mem::take(&mut self.shard.missing_sectors);
+    fn issue_load(&mut self, sm_idx: usize, slot: usize, sectors: &[u64]) -> bool {
+        // The misses go into the engine's reused sector buffer.
+        let mut missing = std::mem::take(&mut self.missing_sectors);
         missing.clear();
-        {
-            let shard = &mut *self.shard;
-            let sm = &mut shard.sms[local];
-            for &s in sectors {
-                shard.stats.l1_accesses += 1;
-                match sm.l1.probe(s) {
-                    Probe::Hit => {}
-                    Probe::SectorMiss | Probe::LineMiss => {
-                        shard.stats.l1_misses += 1;
-                        missing.push(s);
-                    }
+        let l1 = &mut self.sms[sm_idx].l1;
+        for &s in sectors {
+            self.stats.l1_accesses += 1;
+            match l1.probe(s) {
+                Probe::Hit => {}
+                Probe::SectorMiss | Probe::LineMiss => {
+                    self.stats.l1_misses += 1;
+                    missing.push(s);
                 }
             }
         }
-        let issued = self.request_misses(local, slot, &missing);
-        self.shard.missing_sectors = missing;
+        let issued = self.request_misses(sm_idx, slot, &missing);
+        self.missing_sectors = missing;
         issued
     }
 
     /// The part of [`issue_load`](Self::issue_load) after the L1 probe:
-    /// completes an all-hit load, or reserves MSHRs and stages a request
+    /// completes an all-hit load, or reserves MSHRs and sends a request
     /// for every sector no MSHR tracks yet.
-    fn request_misses(&mut self, local: usize, slot: usize, missing: &[u64]) -> bool {
-        let cycle = self.p.cycle;
-        let sm_idx = self.global_sm(local);
+    fn request_misses(&mut self, sm_idx: usize, slot: usize, missing: &[u64]) -> bool {
+        let cycle = self.cycle;
         if missing.is_empty() {
-            let l1_hit_latency = self.p.l1_hit_latency as u64;
-            let w = self.shard.sms[local].warps[slot]
-                .as_mut()
-                .expect("picked warp");
+            let l1_hit_latency = self.cfg.l1_hit_latency as u64;
+            let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
             w.pc += 1;
             w.next_ready = cycle + l1_hit_latency;
             return true;
         }
         // Structural checks: MSHR space for new sectors, interconnect room.
-        let sm = &self.shard.sms[local];
+        let sm = &self.sms[sm_idx];
         let new_sectors = missing
             .iter()
             .filter(|s| !sm.l1_mshrs.contains_key(s))
             .count();
         if sm.l1_mshrs.len() + new_sectors > sm.l1_mshr_capacity {
-            self.shard.stats.bump("det.stall.l1_mshr", 1);
+            self.stats.bump("det.stall.l1_mshr", 1);
             return false;
         }
         let flits_needed = new_sectors as u32;
-        if !self.can_send(flits_needed) {
-            self.shard.stats.icnt_stall_cycles += 1;
+        if !self.can_send(sm_idx, flits_needed) {
+            self.stats.icnt_stall_cycles += 1;
             return false;
         }
         let warp_ref = WarpRef { sm: sm_idx, slot };
         for &s in missing {
             let is_new = {
-                let sm = &mut self.shard.sms[local];
+                let sm = &mut self.sms[sm_idx];
                 let is_new = !sm.l1_mshrs.contains_key(&s);
                 sm.l1_mshrs.entry(s).or_default().push(slot);
                 is_new
             };
             if is_new {
                 let pkt = Packet::new(
-                    partition_of(s, self.p.num_mem_partitions),
+                    partition_of(s, self.cfg.num_mem_partitions),
                     Payload::LoadReq {
                         sector_addr: s,
                         warp: warp_ref,
                     },
-                    self.p.icnt_flit_size,
+                    self.cfg.icnt_flit_size,
                 );
-                self.shard.stats.mem_transactions += 1;
-                self.send(pkt);
+                self.stats.mem_transactions += 1;
+                self.send(sm_idx, pkt);
             }
         }
-        let w = self.shard.sms[local].warps[slot]
-            .as_mut()
-            .expect("picked warp");
+        let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
         w.outstanding_loads += missing.len() as u32;
         w.pc += 1;
         w.state = WarpState::WaitMem;
@@ -586,21 +430,18 @@ impl Cx<'_, '_> {
     }
 
     fn issue_store(&mut self, warp_id: WarpId, sectors: &[u64]) -> bool {
-        let cycle = self.p.cycle;
+        let cycle = self.cycle;
         let sm_idx = warp_id.sched.sm;
-        let local = sm_idx % self.p.spc;
         let slot = warp_id.slot;
-        if self.sh.model.on_store(warp_id, sectors.len(), cycle) == StoreRoute::Buffered {
+        if self.model.on_store(warp_id, sectors.len(), cycle) == StoreRoute::Buffered {
             // Absorbed by a model-side store buffer: no traffic now.
-            let w = self.shard.sms[local].warps[slot]
-                .as_mut()
-                .expect("picked warp");
+            let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
             w.pc += 1;
             w.next_ready = cycle + 1;
             return true;
         }
-        if !self.can_send(2 * sectors.len() as u32) {
-            self.shard.stats.icnt_stall_cycles += 1;
+        if !self.can_send(sm_idx, 2 * sectors.len() as u32) {
+            self.stats.icnt_stall_cycles += 1;
             return false;
         }
         // Store *data* is not modeled: the timing model only needs sector
@@ -608,21 +449,19 @@ impl Cx<'_, '_> {
         let warp_ref = WarpRef { sm: sm_idx, slot };
         for &s in sectors {
             // Write-through, write-evict at the L1.
-            self.shard.sms[local].l1.evict_sector(s);
+            self.sms[sm_idx].l1.evict_sector(s);
             let pkt = Packet::new(
-                partition_of(s, self.p.num_mem_partitions),
+                partition_of(s, self.cfg.num_mem_partitions),
                 Payload::StoreReq {
                     sector_addr: s,
                     warp: warp_ref,
                 },
-                self.p.icnt_flit_size,
+                self.cfg.icnt_flit_size,
             );
-            self.shard.stats.mem_transactions += 1;
-            self.send(pkt);
+            self.stats.mem_transactions += 1;
+            self.send(sm_idx, pkt);
         }
-        let w = self.shard.sms[local].warps[slot]
-            .as_mut()
-            .expect("picked warp");
+        let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
         w.outstanding_writes += sectors.len() as u32;
         w.pc += 1;
         w.next_ready = cycle + 1;
@@ -637,11 +476,10 @@ impl Cx<'_, '_> {
         kind: AtomKind,
         meta: &InstrMeta,
     ) -> bool {
-        let cycle = self.p.cycle;
+        let cycle = self.cycle;
         let sm_idx = warp_id.sched.sm;
-        let local = sm_idx % self.p.spc;
         let slot = warp_id.slot;
-        let route = self.sh.model.on_atomic(
+        let route = self.model.on_atomic(
             AtomicIssue {
                 warp: warp_id,
                 op,
@@ -652,23 +490,21 @@ impl Cx<'_, '_> {
         );
         match route {
             AtomicRoute::Buffered { cycles } => {
-                let w = self.shard.sms[local].warps[slot]
-                    .as_mut()
-                    .expect("picked warp");
+                let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
                 w.pc += 1;
                 w.next_ready = cycle + cycles.max(1) as u64;
                 true
             }
             AtomicRoute::StallFlush => {
-                self.set_flush_wait(local, slot);
-                self.shard.stats.bump("det.stall.atomic_buffer_full", 1);
+                self.set_flush_wait(sm_idx, slot);
+                self.stats.bump("det.stall.atomic_buffer_full", 1);
                 false
             }
             AtomicRoute::ToMemory => {
                 // Fast-fail when the injection queue is jammed, before
                 // touching the precomputed groups (retried every cycle).
-                if !self.can_send(1) {
-                    self.shard.stats.icnt_stall_cycles += 1;
+                if !self.can_send(sm_idx, 1) {
+                    self.stats.icnt_stall_cycles += 1;
                     return false;
                 }
                 // Per-sector coalescing groups and the flit total are
@@ -680,12 +516,12 @@ impl Cx<'_, '_> {
                 else {
                     unreachable!("atomic without coalescing metadata")
                 };
-                if !self.can_send(*total_flits) {
-                    self.shard.stats.icnt_stall_cycles += 1;
+                if !self.can_send(sm_idx, *total_flits) {
+                    self.stats.icnt_stall_cycles += 1;
                     return false;
                 }
                 let warp_ref = WarpRef { sm: sm_idx, slot };
-                let unique = self.shard.sms[local].warps[slot]
+                let unique = self.sms[sm_idx].warps[slot]
                     .as_ref()
                     .expect("picked warp")
                     .unique;
@@ -699,14 +535,12 @@ impl Cx<'_, '_> {
                             kind,
                             unique,
                         },
-                        self.p.icnt_flit_size,
+                        self.cfg.icnt_flit_size,
                     );
-                    self.shard.stats.mem_transactions += 1;
-                    self.send(pkt);
+                    self.stats.mem_transactions += 1;
+                    self.send(sm_idx, pkt);
                 }
-                let w = self.shard.sms[local].warps[slot]
-                    .as_mut()
-                    .expect("picked warp");
+                let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
                 w.outstanding_writes += n_groups;
                 w.pc += 1;
                 match kind {
@@ -726,11 +560,10 @@ impl Cx<'_, '_> {
         }
     }
 
-    fn issue_barrier(&mut self, local: usize, slot: usize) {
-        let cycle = self.p.cycle;
-        let sm_idx = self.global_sm(local);
+    fn issue_barrier(&mut self, sm_idx: usize, slot: usize) {
+        let cycle = self.cycle;
         let (cta_key, warp_id) = {
-            let sm = &mut self.shard.sms[local];
+            let sm = &mut self.sms[sm_idx];
             let w = sm.warps[slot].as_mut().expect("picked warp");
             w.pc += 1;
             w.state = WarpState::WaitBarrier;
@@ -753,9 +586,9 @@ impl Cx<'_, '_> {
                 reason: obs::SleepReason::Barrier,
             });
         }
-        self.sh.model.on_barrier_wait(warp_id, cycle);
+        self.model.on_barrier_wait(warp_id, cycle);
         {
-            let sm = &mut self.shard.sms[local];
+            let sm = &mut self.sms[sm_idx];
             // The policy consumes the warp's token/turn so atomic grants
             // never deadlock behind the barrier.
             sm.schedulers[warp_id.sched.sched]
@@ -764,17 +597,16 @@ impl Cx<'_, '_> {
             let barrier = sm.barriers.get_mut(&cta_key).expect("barrier state");
             barrier.waiting_slots.push(slot);
         }
-        self.try_release_barrier(local, cta_key);
+        self.try_release_barrier(sm_idx, cta_key);
     }
 
     /// Releases a CTA barrier once every *live* warp of the CTA waits at it
     /// (warps that exited without reaching the barrier no longer count, as
     /// with CUDA's exited-threads semantics).
-    fn try_release_barrier(&mut self, local: usize, cta_key: u64) {
-        let cycle = self.p.cycle;
-        let sm_idx = self.global_sm(local);
+    fn try_release_barrier(&mut self, sm_idx: usize, cta_key: u64) {
+        let cycle = self.cycle;
         let waiting = {
-            let sm = &mut self.shard.sms[local];
+            let sm = &mut self.sms[sm_idx];
             let Some(barrier) = sm.barriers.get_mut(&cta_key) else {
                 return;
             };
@@ -787,12 +619,12 @@ impl Cx<'_, '_> {
         };
         // An actual release mutates warp state across this SM's schedulers;
         // views prebuilt for it this cycle are now stale. Barriers are
-        // SM-local, so the dirty flag never needs to cross the shard.
-        self.shard.mark_dirty(local);
+        // SM-local, so only this SM's views need a rebuild.
+        self.dirty[sm_idx] = true;
         let waiting_ids: Vec<WarpId> = waiting
             .iter()
             .map(|&s| {
-                let w = self.shard.sms[local].warps[s].as_ref().expect("at barrier");
+                let w = self.sms[sm_idx].warps[s].as_ref().expect("at barrier");
                 WarpId {
                     sched: SchedId {
                         sm: sm_idx,
@@ -803,18 +635,15 @@ impl Cx<'_, '_> {
                 }
             })
             .collect();
-        let release = self
-            .sh
-            .model
-            .on_barrier_release(sm_idx, &waiting_ids, cycle);
+        let release = self.model.on_barrier_release(sm_idx, &waiting_ids, cycle);
         for id in &waiting_ids {
-            self.shard.sms[local].schedulers[id.sched.sched].barrier_wait -= 1;
+            self.sms[sm_idx].schedulers[id.sched.sched].barrier_wait -= 1;
         }
         match release {
             BarrierRelease::Immediate => {
                 for s in waiting {
                     {
-                        let sm = &mut self.shard.sms[local];
+                        let sm = &mut self.sms[sm_idx];
                         let w = sm.warps[s].as_mut().expect("at barrier");
                         w.state = WarpState::Ready;
                         w.next_ready = cycle + 1;
@@ -822,7 +651,7 @@ impl Cx<'_, '_> {
                         sm.schedulers[sched].note_ready(cycle + 1);
                         sm.schedulers[sched].policy.on_barrier_released(unique);
                     }
-                    self.out.wakeup_events += 1;
+                    self.activity.wakeup_events += 1;
                     if self.trace_full() {
                         self.trace_event(obs::Event::Wake {
                             cycle,
@@ -832,7 +661,7 @@ impl Cx<'_, '_> {
                         });
                     }
                     // The barrier may have been the warp's last instruction.
-                    self.try_retire(local, s);
+                    self.try_retire(sm_idx, s);
                 }
             }
             BarrierRelease::WaitFlush => {
@@ -840,22 +669,19 @@ impl Cx<'_, '_> {
                 // wake (the epoch boundary), which keeps un-parking — and
                 // therefore the token/turn grant order — deterministic.
                 for s in waiting {
-                    self.set_flush_wait(local, s);
+                    self.set_flush_wait(sm_idx, s);
                 }
             }
         }
     }
 
     fn issue_fence(&mut self, warp_id: WarpId) {
-        let cycle = self.p.cycle;
+        let cycle = self.cycle;
         let sm_idx = warp_id.sched.sm;
-        let local = sm_idx % self.p.spc;
         let slot = warp_id.slot;
-        match self.sh.model.on_fence(warp_id, cycle) {
+        match self.model.on_fence(warp_id, cycle) {
             FenceAction::DrainWarp => {
-                let w = self.shard.sms[local].warps[slot]
-                    .as_mut()
-                    .expect("picked warp");
+                let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
                 w.pc += 1;
                 let drains = w.outstanding_writes > 0;
                 if drains {
@@ -873,19 +699,16 @@ impl Cx<'_, '_> {
                 }
             }
             FenceAction::WaitFlush => {
-                let w = self.shard.sms[local].warps[slot]
-                    .as_mut()
-                    .expect("picked warp");
+                let w = self.sms[sm_idx].warps[slot].as_mut().expect("picked warp");
                 w.pc += 1;
-                self.set_flush_wait(local, slot);
+                self.set_flush_wait(sm_idx, slot);
             }
         }
     }
 
-    fn set_flush_wait(&mut self, local: usize, slot: usize) {
-        let cycle = self.p.cycle;
-        let sm_idx = self.global_sm(local);
-        let sm = &mut self.shard.sms[local];
+    fn set_flush_wait(&mut self, sm_idx: usize, slot: usize) {
+        let cycle = self.cycle;
+        let sm = &mut self.sms[sm_idx];
         let w = sm.warps[slot].as_mut().expect("warp resident");
         let mut parked = false;
         if w.state != WarpState::WaitFlush {
@@ -903,10 +726,9 @@ impl Cx<'_, '_> {
         }
     }
 
-    fn wake_flush_wait(&mut self, local: usize, slot: usize) {
-        let cycle = self.p.cycle;
-        let sm_idx = self.global_sm(local);
-        let sm = &mut self.shard.sms[local];
+    pub(super) fn wake_flush_wait(&mut self, sm_idx: usize, slot: usize) {
+        let cycle = self.cycle;
+        let sm = &mut self.sms[sm_idx];
         let mut woke = false;
         if let Some(w) = sm.warps[slot].as_mut() {
             if w.state == WarpState::WaitFlush {
@@ -922,7 +744,7 @@ impl Cx<'_, '_> {
             }
         }
         if woke {
-            self.out.wakeup_events += 1;
+            self.activity.wakeup_events += 1;
             if self.trace_full() {
                 self.trace_event(obs::Event::Wake {
                     cycle,
@@ -932,17 +754,16 @@ impl Cx<'_, '_> {
                 });
             }
         }
-        self.try_retire(local, slot);
+        self.try_retire(sm_idx, slot);
     }
 
     /// Retires the warp if it has finished its program and drained all
     /// outstanding transactions.
-    fn try_retire(&mut self, local: usize, slot: usize) {
-        let cycle = self.p.cycle;
-        let sm_idx = self.global_sm(local);
+    pub(super) fn try_retire(&mut self, sm_idx: usize, slot: usize) {
+        let cycle = self.cycle;
         let mut parked_to_drain = false;
         let retire = {
-            match self.shard.sms[local].warps[slot].as_mut() {
+            match self.sms[sm_idx].warps[slot].as_mut() {
                 Some(w) if w.finished() => {
                     if w.outstanding_loads == 0 && w.outstanding_writes == 0 {
                         // Only a warp that is not waiting on anything may
@@ -972,41 +793,41 @@ impl Cx<'_, '_> {
             return;
         }
         let (unique, sched) = {
-            let w = self.shard.sms[local].warps[slot]
+            let w = self.sms[sm_idx].warps[slot]
                 .as_ref()
                 .expect("finished warp");
             (w.unique, w.sched)
         };
         // Warp-level DAB holds finished warps until their buffer flushes.
-        if !self.sh.model.can_retire(WarpId {
+        if !self.model.can_retire(WarpId {
             sched: SchedId { sm: sm_idx, sched },
             slot,
             unique,
         }) {
-            self.set_flush_wait(local, slot);
+            self.set_flush_wait(sm_idx, slot);
             return;
         }
         self.progress();
         // `no_more_arrivals` is refreshed by the dispatcher each cycle; the
         // conservative value here only delays partial-batch completion by a
         // cycle at worst.
-        let gate_before = self.shard.sms[local].schedulers[sched].completed_batches;
-        let warp = self.shard.sms[local].retire_warp(slot, false);
+        let gate_before = self.sms[sm_idx].schedulers[sched].completed_batches;
+        let warp = self.sms[sm_idx].retire_warp(slot, false);
         debug_assert_eq!(warp.unique, unique);
-        if self.p.event && self.shard.sms[local].schedulers[sched].completed_batches != gate_before
-        {
+        if self.event() && self.sms[sm_idx].schedulers[sched].completed_batches != gate_before {
             // The batch gate opened: warps this scheduler had parked with
             // no timer bound (gated atomics) may now be pickable, so the
             // incremental bound must be re-derived exactly.
-            self.out.scheduler_scans += 1;
-            self.shard.sms[local].recompute_ready_bound(sched, self.p.det_aware, self.p.srr_like);
+            self.activity.scheduler_scans += 1;
+            let (det_aware, srr_like) = (self.det_aware(), self.srr_like());
+            self.sms[sm_idx].recompute_ready_bound(sched, det_aware, srr_like);
         }
-        self.sh.model.on_warp_exit(WarpId {
+        self.model.on_warp_exit(WarpId {
             sched: SchedId { sm: sm_idx, sched },
             slot,
             unique,
         });
         // A warp exiting without reaching its CTA's barrier may complete it.
-        self.try_release_barrier(local, warp.cta_key);
+        self.try_release_barrier(sm_idx, warp.cta_key);
     }
 }

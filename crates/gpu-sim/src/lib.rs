@@ -52,7 +52,6 @@
 //! assert_eq!(report.values.read_f32(0x1000), 32.0);
 //! ```
 
-pub mod commit;
 pub mod config;
 pub mod engine;
 pub mod exec;

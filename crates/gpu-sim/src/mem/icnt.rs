@@ -114,12 +114,11 @@ impl Interconnect {
     }
 
     /// Remaining request-injection headroom (in flits) for `cluster`: the
-    /// exact budget [`can_inject_request`](Self::can_inject_request) tests
-    /// against. Snapshotting this lets the commit phase run injection
-    /// checks against a cluster-local copy — exactly equivalent to the
-    /// live check because the interconnect is never mutated during the
-    /// issue phase (all issued packets stage in per-cluster outboxes and
-    /// enter the interconnect at the later merge point).
+    /// budget [`can_inject_request`](Self::can_inject_request) tests
+    /// against, floored at zero. The commit walk admits a packet of `f`
+    /// flits while `f` fits in it, and each
+    /// [`inject_request`](Self::inject_request) debits the packet's flits,
+    /// so admission is per cluster and in walk order.
     pub fn request_injection_budget(&self, cluster: usize) -> u32 {
         let free = self
             .injection_capacity_flits
@@ -205,8 +204,7 @@ impl Interconnect {
     /// `cl_ndet` one per cluster: every arbitration point draws from its
     /// *own* stream (forked from the run seed via
     /// [`NdetSource::split`]), so the sequence one endpoint sees never
-    /// depends on how work for other endpoints is ordered — a prerequisite
-    /// for sharding the engine across threads without perturbation drift.
+    /// depends on how work for other endpoints is ordered.
     ///
     /// # Panics
     ///

@@ -125,12 +125,10 @@ impl WarpView {
 ///
 /// # Threading contract
 ///
-/// Policy state lives inside its SM's [`SchedulerCtx`](crate::sm), which
-/// belongs to exactly one [`ClusterShard`](crate::par::ClusterShard).
-/// [`pick`](Self::pick) and every callback run in that shard's commit walk,
+/// Policy state lives inside its SM's [`SchedulerCtx`](crate::sm).
+/// [`pick`](Self::pick) and every callback run in the engine's commit walk,
 /// on the thread that simulates the run, sequentially in the fixed
-/// (cluster, SM, scheduler) order, so policies never observe concurrent
-/// calls. `pick` is invoked every cycle a scheduler has live warps — even
+/// (SM, scheduler) order, so policies never observe concurrent calls. `pick` is invoked every cycle a scheduler has live warps — even
 /// when gating cleared all ready flags — so stateful policies (token
 /// rotation, round-robin cursors) advance on every such cycle. `Send`
 /// remains because `DAB_JOBS` workers move whole simulations between

@@ -562,7 +562,7 @@ impl Sm {
     ///
     /// Like [`build_views`](Self::build_views) this reads (and, through
     /// `note_atomic_pending`, updates) only SM-local scheduler state, so each
-    /// cluster's rows build independently and land at fixed indices.
+    /// SM's rows build independently and land at fixed indices.
     ///
     /// # Panics
     ///

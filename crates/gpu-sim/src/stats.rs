@@ -7,10 +7,9 @@
 //! [`counters`](SimStats::counters) map so models can define their own
 //! categories without widening this struct.
 //!
-//! The engine accumulates issue-path counters into per-cluster shard copies
-//! and folds them into the run total with
-//! [`merge_shard`](SimStats::merge_shard) in cluster-index order at the
-//! end of the run.
+//! One `SimStats` per run is the single owner of its counters: the
+//! engine's commit walk, its memory and activity folds, and the execution
+//! model all book into it. [`merge`](SimStats::merge) combines whole runs.
 //!
 //! # Counter namespaces
 //!
@@ -30,8 +29,9 @@
 //!   a matching registration is deprecated; register new families at
 //!   component construction (`ExecutionModel::register_metrics` for
 //!   models).
-//! * Coordinator-only families (`det.engine.*`, `det.obs.*`) must never
-//!   be bumped on shard copies — see [`merge_shard`](SimStats::merge_shard).
+//! * The engine-variant families (`det.engine.*`, `det.obs.*`, see
+//!   [`obs::metrics::is_coordinator_only`]) are booked by the engine
+//!   alone; cross-engine equivalence checks strip them.
 //!
 //! # Examples
 //!
@@ -163,7 +163,7 @@ impl SimStats {
     /// Raises the named high-watermark gauge to at least `v`.
     ///
     /// Gauges merge by `max` (not sum), which keeps a high-watermark
-    /// meaningful across shard folds and whole-run merges alike.
+    /// meaningful across whole-run merges.
     ///
     /// # Panics
     ///
@@ -187,48 +187,11 @@ impl SimStats {
         self.bump(hist.bucket_key(value), 1);
     }
 
-    /// Folds a per-cluster shard copy into the run total.
-    ///
-    /// This is [`merge`](Self::merge) plus the shard invariant: shard
-    /// copies accumulate *issue-path* statistics only, so they must carry
-    /// no `cycles` (the coordinator owns the clock and overwrites
-    /// `cycles` at the end of the run) and no coordinator-only
-    /// `det.engine.*` / `det.obs.*` keys. Summing `cycles` across shards
-    /// would multiply the clock by the cluster count; a coordinator-only
-    /// counter bumped on a shard would become dependent on the
-    /// cluster-to-worker assignment and silently break thread-invariance.
-    /// Debug builds assert both; release builds behave like
-    /// [`merge`](Self::merge).
-    pub fn merge_shard(&mut self, shard: &SimStats) {
-        debug_assert_eq!(
-            shard.cycles, 0,
-            "shard stats must not accumulate cycles: the coordinator owns the clock"
-        );
-        debug_assert!(
-            !shard
-                .counters
-                .keys()
-                .chain(shard.gauges.keys())
-                .any(|k| obs::metrics::is_coordinator_only(k)),
-            "coordinator-only counter bumped on a shard copy: {:?}",
-            shard
-                .counters
-                .keys()
-                .chain(shard.gauges.keys())
-                .filter(|k| obs::metrics::is_coordinator_only(k))
-                .collect::<Vec<_>>()
-        );
-        self.merge(shard);
-    }
-
     /// Merges another stats object into this one: every fixed field and
     /// counter is summed, gauges take the max.
     ///
     /// Note `cycles` is summed too, which is only correct when the two
-    /// operands account disjoint time (e.g. whole independent runs). For
-    /// folding per-cluster shard copies of the *same* run, use
-    /// [`merge_shard`](Self::merge_shard), which asserts the shard
-    /// invariant.
+    /// operands account disjoint time (e.g. whole independent runs).
     pub fn merge(&mut self, other: &SimStats) {
         self.cycles += other.cycles;
         self.thread_instrs += other.thread_instrs;
@@ -370,42 +333,6 @@ mod tests {
         assert_eq!(a.counter("det.test.m"), 3);
         assert_eq!(a.counter("det.test.n"), 7);
         assert_eq!(a.gauge("det.test.g"), 9, "gauges merge by max, not sum");
-    }
-
-    #[test]
-    fn merge_shard_folds_issue_path_stats() {
-        let mut total = SimStats::default();
-        let mut shard = SimStats {
-            warp_instrs: 5,
-            ..Default::default()
-        };
-        shard.bump("det.dab.flushes", 2);
-        total.merge_shard(&shard);
-        assert_eq!(total.warp_instrs, 5);
-        assert_eq!(total.counter("det.dab.flushes"), 2);
-        assert_eq!(total.cycles, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard stats must not accumulate cycles")]
-    #[cfg(debug_assertions)]
-    fn merge_shard_rejects_shard_cycles() {
-        let mut total = SimStats::default();
-        let shard = SimStats {
-            cycles: 7,
-            ..Default::default()
-        };
-        total.merge_shard(&shard);
-    }
-
-    #[test]
-    #[should_panic(expected = "coordinator-only counter")]
-    #[cfg(debug_assertions)]
-    fn merge_shard_rejects_coordinator_only_counters() {
-        let mut total = SimStats::default();
-        let mut shard = SimStats::default();
-        shard.bump("det.engine.cycles_skipped", 1);
-        total.merge_shard(&shard);
     }
 
     #[test]

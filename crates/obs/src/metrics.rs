@@ -30,20 +30,19 @@
 //!
 //! Two further properties are keyed off the name, not stored state:
 //!
-//! * `det.engine.*` and `det.obs.*` are **coordinator-only**: they must
-//!   never be bumped on a per-cluster shard copy (they count engine-level
-//!   work, which the shard fold would double-count or misattribute).
-//!   `SimStats::merge_shard` debug-asserts this.
+//! * `det.engine.*` and `det.obs.*` are **coordinator-only**: the engine
+//!   books them for its own work (activity it skipped or did, trace
+//!   volume), not for the simulated machine, so cross-engine and
+//!   cross-trace-mode comparisons strip them ([`is_coordinator_only`]).
 //! * `det.obs.*` exists only when tracing is enabled, so equivalence
 //!   comparisons must fix the trace mode on both sides.
 //!
 //! # Merge ordering
 //!
 //! Counters and histogram buckets are summed; gauges are high-watermarks
-//! and merge by `max`. Shard copies fold into the run total in
-//! cluster-index order at the end of the run (see
-//! `SimStats::merge_shard`), so merged values do not depend on how the
-//! run was scheduled.
+//! and merge by `max`. Within a run every component books into the run's
+//! one `SimStats`; `SimStats::merge` combines whole runs, so merged values
+//! do not depend on how a sweep was scheduled.
 //!
 //! # Registration
 //!
@@ -80,11 +79,10 @@ use std::panic::Location;
 /// Determinism class of a metric, derived from its name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricClass {
-    /// `det.*` (except `det.engine.*`): thread-, shard- and
-    /// engine-invariant; byte-stable.
+    /// `det.*` (except `det.engine.*`): thread- and engine-invariant;
+    /// byte-stable.
     DetArch,
-    /// `det.engine.*`: thread- and shard-invariant, engine-variant by
-    /// design.
+    /// `det.engine.*`: thread-invariant, engine-variant by design.
     DetEngine,
     /// `wall.*`: host timing; variant run to run.
     Wall,
@@ -104,7 +102,7 @@ impl MetricClass {
 /// What kind of value a registered metric carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
-    /// Monotonic sum; shard copies merge by addition.
+    /// Monotonic sum; merges by addition.
     Counter,
     /// High-watermark; merges by `max`.
     Gauge,
@@ -229,8 +227,9 @@ pub fn validate_name(name: &str) -> Result<MetricClass, NameError> {
     }
 }
 
-/// Whether a key names a coordinator-only counter family (never legal on
-/// a per-cluster shard copy).
+/// Whether a key names a coordinator-only family: engine bookkeeping
+/// (`det.engine.*`, `det.obs.*`) or host timing (`wall.*`) rather than an
+/// observation of the simulated machine. Equivalence checks strip these.
 pub fn is_coordinator_only(name: &str) -> bool {
     name.starts_with("det.engine.") || name.starts_with("det.obs.") || name.starts_with("wall.")
 }

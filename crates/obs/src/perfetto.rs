@@ -305,12 +305,12 @@ mod tests {
         };
         let profile = vec![
             ("engine;issue;prepare".to_string(), 1500),
-            ("engine;merge".to_string(), 42),
+            ("engine;dispatch".to_string(), 42),
         ];
         let json = to_chrome_json_with_profile(&trace, &profile);
         assert!(json.contains("\"name\":\"engine;issue;prepare\""));
         assert!(json.contains("\"value\":1500"));
-        assert!(json.contains("\"name\":\"engine;merge\""));
+        assert!(json.contains("\"name\":\"engine;dispatch\""));
         // Sidecar-free export of the same trace is unchanged.
         assert_eq!(
             to_chrome_json(&trace),

@@ -41,10 +41,8 @@ pub enum Phase {
     Locks,
     /// Warp-view construction (`prepare_views`).
     Prepare,
-    /// The commit walk: pick and issue, in cluster order.
+    /// The commit walk: pick, issue and inject, in `(SM, scheduler)` order.
     Commit,
-    /// Outbox merge into the interconnect.
-    Merge,
     /// CTA dispatch.
     Dispatch,
     /// Execution-model tick (flush controllers, quantum machines).
@@ -58,7 +56,7 @@ pub enum Phase {
 }
 
 /// Number of [`Phase`] variants (accumulator array size).
-pub const PHASE_COUNT: usize = 13;
+pub const PHASE_COUNT: usize = 12;
 
 /// Every phase, in fixed reporting order.
 pub const ALL_PHASES: [Phase; PHASE_COUNT] = [
@@ -69,7 +67,6 @@ pub const ALL_PHASES: [Phase; PHASE_COUNT] = [
     Phase::Locks,
     Phase::Prepare,
     Phase::Commit,
-    Phase::Merge,
     Phase::Dispatch,
     Phase::ModelTick,
     Phase::Wakes,
@@ -89,7 +86,6 @@ impl Phase {
             Phase::Locks => "engine;locks",
             Phase::Prepare => "engine;issue;prepare",
             Phase::Commit => "engine;issue;commit",
-            Phase::Merge => "engine;merge",
             Phase::Dispatch => "engine;dispatch",
             Phase::ModelTick => "engine;model;tick",
             Phase::Wakes => "engine;model;wakes",
@@ -109,7 +105,6 @@ impl Phase {
             Phase::Locks => "wall.profile.locks",
             Phase::Prepare => "wall.profile.issue_prepare",
             Phase::Commit => "wall.profile.issue_commit",
-            Phase::Merge => "wall.profile.merge",
             Phase::Dispatch => "wall.profile.dispatch",
             Phase::ModelTick => "wall.profile.model_tick",
             Phase::Wakes => "wall.profile.model_wakes",
@@ -270,28 +265,28 @@ mod tests {
     #[test]
     fn collapsed_roundtrips() {
         let mut prof = PhaseProfile::new();
-        prof.record(Phase::Merge, Duration::from_micros(7));
+        prof.record(Phase::Dispatch, Duration::from_micros(7));
         prof.record(Phase::Wheel, Duration::from_micros(3));
         let text = prof.to_collapsed("atomic_sum");
-        assert!(text.contains("atomic_sum;engine;merge 7\n"));
+        assert!(text.contains("atomic_sum;engine;dispatch 7\n"));
         assert!(text.contains("atomic_sum;engine;wheel 3\n"));
         let pairs = parse_collapsed(&text).unwrap();
         assert_eq!(
             pairs,
             vec![
-                ("atomic_sum;engine;merge".to_string(), 7),
+                ("atomic_sum;engine;dispatch".to_string(), 7),
                 ("atomic_sum;engine;wheel".to_string(), 3),
             ]
         );
         // Bare prefix omits the leading separator.
         let bare = prof.to_collapsed("");
-        assert!(bare.starts_with("engine;merge 7\n"));
+        assert!(bare.starts_with("engine;dispatch 7\n"));
     }
 
     #[test]
     fn collapsed_rejects_garbage() {
-        assert!(parse_collapsed("engine;merge\n").is_err());
-        assert!(parse_collapsed("engine;merge seven\n").is_err());
+        assert!(parse_collapsed("engine;dispatch\n").is_err());
+        assert!(parse_collapsed("engine;dispatch seven\n").is_err());
         assert_eq!(parse_collapsed("\n\n").unwrap(), vec![]);
     }
 

@@ -8,7 +8,8 @@
 //! * `wall` metrics are host timings: the candidate may be *worse* than
 //!   the baseline by up to the relative tolerance before it counts as a
 //!   regression. "Worse" is direction-aware — higher is worse for
-//!   `*secs*`/`*overhead*` leaves, lower is worse for `*speedup*` leaves.
+//!   `*secs*`/`*overhead*` leaves, lower is worse for `*speedup*` and
+//!   `*per_sec*` (throughput) leaves.
 //!   Near-zero baselines (trace overheads wobble around 0.0) are
 //!   normalized by an absolute floor instead of their own magnitude.
 //! * `info` metrics (host identity) are never compared.
@@ -168,11 +169,12 @@ fn compare_one(a: &Metric, b: &Metric, wall_tolerance: f64) -> Delta {
 
 /// Signed relative delta in the *worse* direction: positive means the
 /// candidate `y` is worse than the baseline `x`. Higher is better for
-/// speedup-like metrics, worse for everything else (seconds, overheads).
+/// speedups and throughputs (`cycles_per_sec`), worse for everything else
+/// (seconds, overheads).
 fn worse_direction_delta(path: &str, x: f64, y: f64) -> f64 {
     let denom = x.abs().max(WALL_FLOOR);
     let leaf = path.rsplit('.').next().unwrap_or(path);
-    if leaf.contains("speedup") {
+    if leaf.contains("speedup") || leaf.contains("per_sec") {
         (x - y) / denom
     } else {
         (y - x) / denom
@@ -292,6 +294,26 @@ mod tests {
             .deltas
             .iter()
             .any(|d| d.status == Status::Improved && d.path.ends_with("speedup")));
+    }
+
+    #[test]
+    fn throughput_is_higher_is_better() {
+        let run = |cycles_per_sec: f64| {
+            Json::parse(&format!(
+                r#"{{ "runs": [ {{ "label": "x", "cycles": 5, "cycles_per_sec": {cycles_per_sec} }} ] }}"#
+            ))
+            .unwrap()
+        };
+        let a = run(1000.0);
+        // Twice as fast: an improvement, never a regression.
+        let cmp = compare(&a, &run(2000.0), 0.5);
+        assert!(cmp.passed());
+        assert!(cmp
+            .deltas
+            .iter()
+            .any(|d| d.status == Status::Improved && d.path.ends_with("cycles_per_sec")));
+        // A third of the throughput: 67% worse, fails at 50%.
+        assert!(!compare(&a, &run(333.0), 0.5).passed());
     }
 
     #[test]
